@@ -1,10 +1,8 @@
 """Ingestion of country-year balance tables.
 
-Two input dialects are supported: the Eurostat bulk-download TSV layout
-(comma-joined dimension key ending in a country code, year-labelled columns,
-":" for missing cells, letter flags after values) and a minimal plain CSV
-with header ``country,year,value``. Parsed triples are combined into an
-immutable :class:`Dataset` of :class:`CountryYearRecord`.
+Each input table is a plain CSV with header ``country,year,value``; parsed
+triples are combined into an immutable :class:`Dataset` of
+:class:`CountryYearRecord`.
 
 Current-account values arrive as fractions of GDP and are converted to
 billion EUR on assembly; the private-sector balance is derived as the
@@ -13,7 +11,7 @@ difference between the current-account and government balances.
 from __future__ import annotations
 
 import io
-import re
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional
@@ -21,8 +19,6 @@ from typing import Iterable, Iterator, Mapping, Optional
 BASE_YEAR = 1995
 
 PLAIN_CSV_HEADER = ("country", "year", "value")
-VALUE_ROLES = ("gdp", "cab_pct", "ggb")
-FORMATS = ("eurostat-tsv", "plain-csv")
 
 
 class DatasetError(Exception):
@@ -30,11 +26,11 @@ class DatasetError(Exception):
 
 
 class MalformedHeader(DatasetError):
-    """Header row is missing or its year labels cannot be parsed."""
+    """Header row is not ``country,year,value``."""
 
 
 class BadNumeric(DatasetError):
-    """A data cell is neither a missing-value marker nor a number."""
+    """A row lacks three fields, or its year or value is not a finite number."""
 
 
 class DuplicateKey(DatasetError):
@@ -78,6 +74,8 @@ class Dataset:
             store[key] = rec
         self._records: Mapping[tuple[str, int], CountryYearRecord] = \
             MappingProxyType(store)
+        self._countries = tuple(sorted({c for c, _ in store}))
+        self._years = tuple(sorted({y for _, y in store}))
         self.provenance = tuple(provenance)
 
     @property
@@ -89,11 +87,11 @@ class Dataset:
 
     @property
     def countries(self) -> tuple[str, ...]:
-        return tuple(sorted({c for c, _ in self._records}))
+        return self._countries
 
     @property
     def years(self) -> tuple[int, ...]:
-        return tuple(sorted({y for _, y in self._records}))
+        return self._years
 
     def __iter__(self) -> Iterator[CountryYearRecord]:
         return iter(sorted(self._records.values(),
@@ -103,56 +101,8 @@ class Dataset:
         return len(self._records)
 
 
-_FLAG_SUFFIX = re.compile(r"^(?P<num>[-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*[a-z ]*$")
-_MISSING = re.compile(r"^:\s*[a-z ]*$")
-
-
-def _parse_cell(cell: str, where: str) -> Optional[float]:
-    """One TSV data cell: a number with optional flag letters, or ':'."""
-    cell = cell.strip()
-    if not cell or _MISSING.match(cell):
-        return None
-    m = _FLAG_SUFFIX.match(cell)
-    if m is None:
-        raise BadNumeric(f"unparseable cell {cell!r} at {where}")
-    try:
-        return float(m.group("num"))
-    except ValueError:
-        raise BadNumeric(f"unparseable cell {cell!r} at {where}") from None
-
-
-def _parse_eurostat_tsv(raw_text: str) -> list[tuple[str, int, float]]:
-    lines = [ln for ln in raw_text.split("\n") if ln.strip()]
-    if not lines:
-        raise MalformedHeader("empty input")
-    header = lines[0].split("\t")
-    if len(header) < 2:
-        raise MalformedHeader("header has no year columns")
-    years = []
-    for label in header[1:]:
-        label = label.strip()
-        try:
-            years.append(int(label))
-        except ValueError:
-            raise MalformedHeader(f"year label {label!r} is not an integer") from None
-    triples: list[tuple[str, int, float]] = []
-    seen: set[tuple[str, int]] = set()
-    for ln in lines[1:]:
-        cells = ln.split("\t")
-        # the dimension key is comma-joined; the country code comes last
-        country = cells[0].split(",")[-1].strip()
-        for year, cell in zip(years, cells[1:]):
-            value = _parse_cell(cell, f"{country}/{year}")
-            if value is None:
-                continue
-            if (country, year) in seen:
-                raise DuplicateKey(f"duplicate cell for {country} {year}")
-            seen.add((country, year))
-            triples.append((country, year, value))
-    return triples
-
-
-def _parse_plain_csv(raw_text: str) -> list[tuple[str, int, float]]:
+def parse_table(raw_text: str) -> list[tuple[str, int, float]]:
+    """Parse one plain-CSV table into (country, year, value) triples."""
     reader = io.StringIO(raw_text)
     header = reader.readline().strip()
     if tuple(h.strip() for h in header.split(",")) != PLAIN_CSV_HEADER:
@@ -172,27 +122,13 @@ def _parse_plain_csv(raw_text: str) -> list[tuple[str, int, float]]:
             value = float(parts[2])
         except ValueError:
             raise BadNumeric(f"line {lineno}: {ln!r}") from None
+        if not math.isfinite(value):
+            raise BadNumeric(f"line {lineno}: value is not finite: {ln!r}")
         if (country, year) in seen:
             raise DuplicateKey(f"duplicate row for {country} {year}")
         seen.add((country, year))
         triples.append((country, year, value))
     return triples
-
-
-def parse_table(raw_text: str, format: str, value_role: str) -> list[tuple[str, int, float]]:
-    """Parse one table into (country, year, value) triples.
-
-    Missing cells yield no triple. ``value_role`` labels what the numbers
-    mean (gdp / cab_pct / ggb) and is validated here so call sites cannot
-    silently swap files; it does not change the parse itself.
-    """
-    if format not in FORMATS:
-        raise ValueError(f"unknown format {format!r}")
-    if value_role not in VALUE_ROLES:
-        raise ValueError(f"unknown value role {value_role!r}")
-    if format == "eurostat-tsv":
-        return _parse_eurostat_tsv(raw_text)
-    return _parse_plain_csv(raw_text)
 
 
 def assemble(gdp_triples: Iterable[tuple[str, int, float]],
@@ -251,10 +187,9 @@ def to_plain_csv(dataset: Dataset, value_role: str) -> str:
 def load_files(gdp_path, cab_pct_path, ggb_path) -> Dataset:
     """Assemble a dataset from three plain-csv files."""
     parts = []
-    for path, role in ((gdp_path, "gdp"), (cab_pct_path, "cab_pct"),
-                       (ggb_path, "ggb")):
+    for path in (gdp_path, cab_pct_path, ggb_path):
         with open(path, encoding="utf-8", newline="") as fh:
-            parts.append(parse_table(fh.read(), "plain-csv", role))
+            parts.append(parse_table(fh.read()))
     return assemble(*parts, provenance=(str(gdp_path), str(cab_pct_path),
                                         str(ggb_path)))
 
@@ -264,10 +199,7 @@ def load_bundled() -> Dataset:
     from importlib.resources import files
 
     data = files("eubalance").joinpath("data")
-    parts = []
-    for name, role in (("gdp.csv", "gdp"), ("cab_pct.csv", "cab_pct"),
-                       ("ggb.csv", "ggb")):
-        text = data.joinpath(name).read_text(encoding="utf-8")
-        parts.append(parse_table(text, "plain-csv", role))
+    parts = [parse_table(data.joinpath(name).read_text(encoding="utf-8"))
+             for name in ("gdp.csv", "cab_pct.csv", "ggb.csv")]
     return assemble(*parts, provenance=("bundled:gdp.csv", "bundled:cab_pct.csv",
                                         "bundled:ggb.csv"))

@@ -146,6 +146,24 @@ def _t_pdf(x: float, dof: int) -> float:
     return math.exp(ln)
 
 
+def bisect(func, lo: float, hi: float) -> float:
+    """A root of func in [lo, hi], lo < hi, where func changes sign.
+
+    Halves the bracket until its ends are adjacent floats and returns the
+    last midpoint. A zero of func counts as non-negative, so the result
+    lies at the edge of any run of exact zeros.
+    """
+    below = func(lo) < 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if (func(mid) < 0.0) == below:
+            lo = mid
+        else:
+            hi = mid
+
+
 @lru_cache(maxsize=1024)
 def t_quantile(p: float, dof: int) -> float:
     """Inverse CDF of Student's t, accurate to well below 1e-9 absolute."""
@@ -164,18 +182,12 @@ def t_quantile(p: float, dof: int) -> float:
     if abs(u) < 1e-4:
         return u + (dof + 1) / (6.0 * dof) * u ** 3
     # bracket, bisect, then Newton-polish with the analytic density
-    lo, hi = 0.0, 2.0
+    hi = 2.0
     while _t_cdf(hi, dof) < p:
         hi *= 2.0
         if hi > 1e300:
             raise ValueError("quantile out of range")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _t_cdf(mid, dof) < p:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
+    x = bisect(lambda v: _t_cdf(v, dof) - p, 0.0, hi)
     for _ in range(3):
         err = _t_cdf(x, dof) - p
         x -= err / _t_pdf(x, dof)

@@ -112,16 +112,6 @@ def _region(regions: dict[str, RegionDefinition], name: str) -> RegionDefinition
         raise ValueError(f"region {name!r} is not defined") from None
 
 
-def _annual_map(dataset: Dataset, region: RegionDefinition,
-                kind: str) -> dict[int, float]:
-    series = accounting.region_series(dataset, region, kind, "annual")
-    return {BASE_YEAR + t: v for t, v in series.points}
-
-
-def _years(dataset: Dataset) -> list[int]:
-    return list(dataset.years)
-
-
 # ---------------------------------------------------------------------------
 # Tables 1-12.
 
@@ -147,7 +137,8 @@ def country_totals_table(dataset: Dataset) -> Table:
                  tuple(rows))
 
 
-_PAIR_TABLES = {
+# Tables 2-4: a title and the regions listed, one row of totals each.
+_TOTALS_TABLES = {
     2: ("EU totals in complementary pairs",
         ("Eurozone", "EU10", "EU9+", "EU18-", "Germany", "EU26", "EU27")),
     3: ("Eurozone totals in complementary pairs",
@@ -157,137 +148,99 @@ _PAIR_TABLES = {
 }
 
 
-def pair_totals_table(dataset: Dataset, regions: dict[str, RegionDefinition],
-                      table_id: int) -> Table:
-    title, names = _PAIR_TABLES[table_id]
+def _totals_table(dataset: Dataset, regions: dict[str, RegionDefinition],
+                  title: str, names: Sequence[str]) -> Table:
     rows = []
     for name in names:
         region = _region(regions, name)
-        cab = accounting.region_total(dataset, region, "CAB")
-        ggb = accounting.region_total(dataset, region, "GGB")
-        psb = accounting.region_total(dataset, region, "PSB")
-        rows.append((name, sig6(cab), sig6(ggb), sig6(psb)))
+        totals = [accounting.region_total(dataset, region, kind)
+                  for kind in ("CAB", "GGB", "PSB")]
+        rows.append((name, *(sig6(v) for v in totals)))
     return Table(title, ("region", "cab_total", "ggb_total", "psb_total"),
                  tuple(rows))
 
 
+# Tables 5-12: a title and (header, measure, subject) columns, one row per
+# year. Measures: "GDP" and "CAB" (annual region sums), "CAB/GDP", the
+# "region share" and "country share" of total GDP, and "sum" (of the row's
+# cells before it).
+def _columns(measure: str,
+             names: Sequence[str]) -> tuple[tuple[str, str, str], ...]:
+    return tuple((name, measure, name) for name in names)
+
+
+def _pair_columns(names: Sequence[str]) -> tuple[tuple[str, str, str], ...]:
+    return tuple(column for name in names
+                 for column in ((f"{name} CAB", "CAB", name),
+                                (f"{name} CAB/GDP", "CAB/GDP", name)))
+
+
 _TABLE5_CODES = ("DE", "FR", "UK", "IT", "ES", "NL")
+_GDP_REGIONS = ("EU9+", "EU18-", "Germany", "EU26", "Eurozone6+",
+                "Eurozone10-", "Eurozone", "EU10", "EU27")
+_BLOCKS = ("Germany", "Eurozone6+", "Eurozone10-", "EU10", "EU27")
 
-
-def pinned_share_table(dataset: Dataset) -> Table:
-    rows = []
-    for year in _years(dataset):
-        shares = [accounting.gdp_share(dataset, code, year)
-                  for code in _TABLE5_CODES]
-        rows.append((str(year), *[sig6(s) for s in shares],
-                     sig6(math.fsum(shares))))
-    header = ("year", *[COUNTRY_NAMES[c] for c in _TABLE5_CODES], "Total")
-    return Table("GDP shares of the six largest economies", header,
-                 tuple(rows))
-
-
-_TABLE6_REGIONS = ("EU9+", "EU18-", "Germany", "EU26", "Eurozone6+",
-                   "Eurozone10-", "Eurozone", "EU10", "EU27")
-
-
-def region_gdp_table(dataset: Dataset,
-                     regions: dict[str, RegionDefinition]) -> Table:
-    maps = {name: _annual_map(dataset, _region(regions, name), "GDP")
-            for name in _TABLE6_REGIONS}
-    rows = [(str(year), *[sig6(maps[name][year]) for name in _TABLE6_REGIONS])
-            for year in _years(dataset)]
-    return Table("Region GDP by year", ("year", *_TABLE6_REGIONS),
-                 tuple(rows))
-
-
-def region_share_table(dataset: Dataset,
-                       regions: dict[str, RegionDefinition]) -> Table:
-    names = _TABLE6_REGIONS[:-1]
-    rows = []
-    for year in _years(dataset):
-        shares = [accounting.gdp_share(dataset, _region(regions, name), year)
-                  for name in names]
-        rows.append((str(year), *[sig6(s) for s in shares]))
-    return Table("Region shares of total GDP", ("year", *names), tuple(rows))
-
-
-_TABLE8_REGIONS = ("Germany", "Eurozone6+", "Eurozone10-", "EU10", "EU27")
-
-
-def block_cab_table(dataset: Dataset,
-                    regions: dict[str, RegionDefinition]) -> Table:
-    maps = {name: _annual_map(dataset, _region(regions, name), "CAB")
-            for name in _TABLE8_REGIONS}
-    rows = [(str(year), *[sig6(maps[name][year]) for name in _TABLE8_REGIONS])
-            for year in _years(dataset)]
-    return Table("Annual current-account balances by block",
-                 ("year", *_TABLE8_REGIONS), tuple(rows))
-
-
-def block_cab_ratio_table(dataset: Dataset,
-                          regions: dict[str, RegionDefinition]) -> Table:
-    cab = {name: _annual_map(dataset, _region(regions, name), "CAB")
-           for name in _TABLE8_REGIONS}
-    gdp = {name: _annual_map(dataset, _region(regions, name), "GDP")
-           for name in _TABLE8_REGIONS}
-    rows = [(str(year),
-             *[sig6(cab[name][year] / gdp[name][year])
-               for name in _TABLE8_REGIONS])
-            for year in _years(dataset)]
-    return Table("Annual current-account balances as GDP fractions",
-                 ("year", *_TABLE8_REGIONS), tuple(rows))
-
-
-_RATIO_PAIR_TABLES = {
+_YEAR_TABLES = {
+    5: ("GDP shares of the six largest economies",
+        (*((COUNTRY_NAMES[c], "country share", c) for c in _TABLE5_CODES),
+         ("Total", "sum", ""))),
+    6: ("Region GDP by year", _columns("GDP", _GDP_REGIONS)),
+    7: ("Region shares of total GDP",
+        _columns("region share", _GDP_REGIONS[:-1])),
+    8: ("Annual current-account balances by block",
+        _columns("CAB", _BLOCKS)),
+    9: ("Annual current-account balances as GDP fractions",
+        _columns("CAB/GDP", _BLOCKS)),
     10: ("EU surplus and deficit groups, balances and GDP fractions",
-         ("EU9+", "EU18-", "EU27")),
+         _pair_columns(("EU9+", "EU18-", "EU27"))),
     11: ("Germany and the rest of the EU, balances and GDP fractions",
-         ("Germany", "EU26", "EU27")),
+         _pair_columns(("Germany", "EU26", "EU27"))),
     12: ("Eurozone surplus and deficit groups, balances and GDP fractions",
-         ("Eurozone7+", "Eurozone10-", "Eurozone")),
+         _pair_columns(("Eurozone7+", "Eurozone10-", "Eurozone"))),
 }
 
 
-def pair_cab_ratio_table(dataset: Dataset,
-                         regions: dict[str, RegionDefinition],
-                         table_id: int) -> Table:
-    title, names = _RATIO_PAIR_TABLES[table_id]
-    cab = {name: _annual_map(dataset, _region(regions, name), "CAB")
-           for name in names}
-    gdp = {name: _annual_map(dataset, _region(regions, name), "GDP")
-           for name in names}
+def _year_table(dataset: Dataset, regions: dict[str, RegionDefinition],
+                title: str, columns: Sequence[tuple[str, str, str]]) -> Table:
+    annual: dict[tuple[str, str], dict[int, float]] = {}
+
+    def series(name: str, kind: str) -> dict[int, float]:
+        if (name, kind) not in annual:
+            points = accounting.region_series(
+                dataset, _region(regions, name), kind, "annual").points
+            annual[name, kind] = {BASE_YEAR + t: v for t, v in points}
+        return annual[name, kind]
+
     rows = []
-    for year in _years(dataset):
-        cells = []
-        for name in names:
-            cells.append(sig6(cab[name][year]))
-            cells.append(sig6(cab[name][year] / gdp[name][year]))
-        rows.append((str(year), *cells))
-    header = ["year"]
-    for name in names:
-        header.append(f"{name} CAB")
-        header.append(f"{name} CAB/GDP")
-    return Table(title, tuple(header), tuple(rows))
+    for year in dataset.years:
+        values: list[float] = []
+        for _, measure, subject in columns:
+            if measure in ("GDP", "CAB"):
+                value = series(subject, measure)[year]
+            elif measure == "CAB/GDP":
+                value = (series(subject, "CAB")[year]
+                         / series(subject, "GDP")[year])
+            elif measure == "region share":
+                value = accounting.gdp_share(
+                    dataset, _region(regions, subject), year)
+            elif measure == "country share":
+                value = accounting.gdp_share(dataset, subject, year)
+            else:  # "sum"
+                value = math.fsum(values)
+            values.append(value)
+        rows.append((str(year), *(sig6(v) for v in values)))
+    return Table(title, ("year", *(header for header, _, _ in columns)),
+                 tuple(rows))
 
 
 def build_table(dataset: Dataset, regions: dict[str, RegionDefinition],
                 table_id: int) -> Table:
     if table_id == 1:
         return country_totals_table(dataset)
-    if table_id in _PAIR_TABLES:
-        return pair_totals_table(dataset, regions, table_id)
-    if table_id == 5:
-        return pinned_share_table(dataset)
-    if table_id == 6:
-        return region_gdp_table(dataset, regions)
-    if table_id == 7:
-        return region_share_table(dataset, regions)
-    if table_id == 8:
-        return block_cab_table(dataset, regions)
-    if table_id == 9:
-        return block_cab_ratio_table(dataset, regions)
-    if table_id in _RATIO_PAIR_TABLES:
-        return pair_cab_ratio_table(dataset, regions, table_id)
+    if table_id in _TOTALS_TABLES:
+        return _totals_table(dataset, regions, *_TOTALS_TABLES[table_id])
+    if table_id in _YEAR_TABLES:
+        return _year_table(dataset, regions, *_YEAR_TABLES[table_id])
     raise ValueError(f"no table {table_id}; choose 1-12")
 
 

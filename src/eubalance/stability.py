@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expfit import ExpFitModel, predict, se_single, t_quantile
+from .expfit import ExpFitModel, bisect, predict, se_single, t_quantile
 
 DEFAULT_BAND_LEVEL = 0.99
 BRACKET_HALF_WIDTH = 15.0
@@ -111,24 +111,12 @@ def _refine(func, x: float) -> float:
         flo, fhi = func(lo), func(hi)
     else:
         return x
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = func(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return bisect(func, lo, hi)
 
 
 def turning_points(analysis: GapAnalysis) -> TurningPoints:
     """Roots of the gap, its slope, and its curvature, plus the gap level."""
     a, b, c, d = analysis.a, analysis.b, analysis.c, analysis.d
-    t0 = _gap_root(a, c=c, b=b, d=d)
-    t1 = _gap_root(a * b, c=c * d, b=b, d=d)
-    t2 = _gap_root(a * b * b, c=c * d * d, b=b, d=d)
 
     def scale(t: float) -> float:
         return a * math.exp(b * t) + c * math.exp(d * t)
@@ -136,12 +124,17 @@ def turning_points(analysis: GapAnalysis) -> TurningPoints:
     def representable(t: float) -> bool:
         return max(b, d) * abs(t) < 700.0  # exp() stays in double range
 
-    if representable(t0) and abs(gap_eval(analysis, t0)[0]) > 1e-9 * scale(t0):
-        t0 = _refine(lambda t: gap_eval(analysis, t)[0], t0)
-    if representable(t1) and abs(gap_eval(analysis, t1)[1]) > 1e-9 * scale(t1):
-        t1 = _refine(lambda t: gap_eval(analysis, t)[1], t1)
-    if representable(t2) and abs(gap_eval(analysis, t2)[2]) > 1e-9 * scale(t2):
-        t2 = _refine(lambda t: gap_eval(analysis, t)[2], t2)
+    # the k-th derivative vanishes where a*b^k*e^{bt} = c*d^k*e^{dt}
+    roots = []
+    a_k, c_k = a, c
+    for k in range(3):
+        t = _gap_root(a_k, c=c_k, b=b, d=d)
+        if (representable(t)
+                and abs(gap_eval(analysis, t)[k]) > 1e-9 * scale(t)):
+            t = _refine(lambda x: gap_eval(analysis, x)[k], t)
+        roots.append(t)
+        a_k, c_k = a_k * b, c_k * d
+    t0, t1, t2 = roots
     level = a * math.exp(b * t0) if b * t0 < 700.0 else math.inf
     return TurningPoints(t0=t0, t1=t1, t2=t2, level=level)
 
@@ -183,18 +176,7 @@ def _band_roots(func, level: float, lo: float, hi: float) -> list[float]:
         if prev_v == 0.0:
             roots.append(prev_t)
         elif prev_v * v < 0.0:
-            x0, x1, f0 = prev_t, t, prev_v
-            for _ in range(80):
-                mid = 0.5 * (x0 + x1)
-                fm = func(mid) - level
-                if fm == 0.0:
-                    x0 = x1 = mid
-                    break
-                if f0 * fm < 0.0:
-                    x1 = mid
-                else:
-                    x0, f0 = mid, fm
-            x = 0.5 * (x0 + x1)
+            x = bisect(lambda u: func(u) - level, prev_t, t)
             h = 1e-7
             slope = (func(x + h) - func(x - h)) / (2.0 * h)
             if slope != 0.0:

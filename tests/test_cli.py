@@ -1,12 +1,23 @@
 """Command dispatch, emitted files, exit codes, determinism."""
+import math
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from eubalance import cli, expfit, stability
+from eubalance import accounting, cli, expfit, reports, stability
 
 import golden_values as gv
+
+BUNDLED_DATA = Path(cli.__file__).parent / "data"
+
+# Cells of the year tables pinned as printed text, (year, header, cell),
+# on top of the golden comparison.
+PINNED_CELLS = {7: ((1995, "EU10", "0.207622"),)}
+TABLE5_CODES = ("DE", "FR", "UK", "IT", "ES", "NL")
 
 
 def run(tmp_path, *argv):
@@ -37,12 +48,26 @@ class TestReport:
         assert names == sorted(names)
         assert len(names) == 27
 
-    def test_table7_share_cell(self, tmp_path):
-        assert run(tmp_path, "report", "--table", "7") == 0
-        rows = cells(read(tmp_path, "table_7.csv"))
-        header, first = rows[0], rows[1]
-        assert first[0] == "1995"
-        assert first[header.index("EU10")] == "0.207622"
+    @pytest.mark.parametrize("table_id", range(5, 13))
+    def test_year_table_goldens(self, dataset, regions, table_id):
+        golden = getattr(gv, f"TABLE{table_id}")
+        table = reports.build_table(dataset, regions, table_id)
+        rows = {int(row[0]): row[1:] for row in table.rows}
+        assert list(rows) == sorted(golden)
+        total_column = table_id == 5
+        for year, values in golden.items():
+            assert len(rows[year]) == len(values) + total_column
+            assert rows[year][:len(values)] == \
+                tuple(reports.sig6(v) for v in values)
+        if total_column:
+            assert table.header[1:] == (
+                *(reports.COUNTRY_NAMES[c] for c in TABLE5_CODES), "Total")
+            for year, row in rows.items():
+                shares = [accounting.gdp_share(dataset, c, year)
+                          for c in TABLE5_CODES]
+                assert row[-1] == reports.sig6(math.fsum(shares))
+        for year, column, text in PINNED_CELLS.get(table_id, ()):
+            assert rows[year][table.header.index(column) - 1] == text
 
     def test_all_tables_render_both_forms(self, tmp_path):
         for table_id in range(1, 13):
@@ -158,6 +183,21 @@ class TestExitCodes:
                        "report", "--table", "1"])
         assert rc == 3
 
+    @pytest.mark.parametrize("value", ("nan", "inf"))
+    @pytest.mark.parametrize("name", ("gdp.csv", "cab_pct.csv", "ggb.csv"))
+    def test_non_finite_cell_is_exit_3(self, tmp_path, capsys, name, value):
+        data = tmp_path / "data"
+        shutil.copytree(BUNDLED_DATA, data)
+        header, first, rest = (data / name).read_text().split("\n", 2)
+        first = first.rsplit(",", 1)[0] + "," + value
+        (data / name).write_text("\n".join((header, first, rest)))
+        rc = cli.main(["--data-dir", str(data), "--out", str(tmp_path),
+                       "report", "--table", "1"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_region_is_exit_3(self, tmp_path):
         regions = tmp_path / "regions.json"
         regions.write_text('{"EU27": ["DE", "FR"]}')
@@ -205,9 +245,13 @@ class TestOutputHygiene:
         assert out == read(tmp_path, "table_2.csv")
 
     def test_console_entry_point(self, tmp_path):
+        # the child imports this checkout's package, installed or not
+        src = str(BUNDLED_DATA.parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run(
             [sys.executable, "-m", "eubalance.cli", "--out", str(tmp_path),
              "report", "--table", "4"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "EU27" in read(tmp_path, "table_4.csv")

@@ -1,85 +1,36 @@
-"""Dialect parsing, assembly rules, and bundled-data coverage."""
+"""CSV parsing, assembly rules, and bundled-data coverage."""
 import pytest
 
 import eubalance as eb
 from eubalance.dataset import parse_table
 
-TSV = (
-    "na_item,unit,geo\\time\t2010\t2011\n"
-    "B1GQ,CP_MEUR,DE\t2496.2\t2592.6\n"
-    "B1GQ,CP_MEUR,BG\t: \t38.0\n"
-    "B1GQ,CP_MEUR,FR\t1998.5 p\t2059.3 e\n"
-)
-
-
-class TestEurostatTsv:
-    def test_plain_cells(self):
-        triples = parse_table(TSV, "eurostat-tsv", "gdp")
-        assert ("DE", 2010, 2496.2) in triples
-        assert ("DE", 2011, 2592.6) in triples
-
-    def test_missing_cell_yields_no_triple(self):
-        triples = parse_table(TSV, "eurostat-tsv", "gdp")
-        bg = [t for t in triples if t[0] == "BG"]
-        assert bg == [("BG", 2011, 38.0)]
-
-    def test_flag_suffix_stripped(self):
-        triples = parse_table(TSV, "eurostat-tsv", "gdp")
-        fr = {(y): v for c, y, v in triples if c == "FR"}
-        assert fr == {2010: 1998.5, 2011: 2059.3}
-
-    def test_country_code_is_last_key_component(self):
-        triples = parse_table("geo\\time\t1999\nA,B,NL\t1.5\n",
-                              "eurostat-tsv", "gdp")
-        assert triples == [("NL", 1999, 1.5)]
-
-    def test_malformed_year_label(self):
-        with pytest.raises(eb.MalformedHeader):
-            parse_table("geo\\time\t20x0\nDE\t1.0\n", "eurostat-tsv", "gdp")
-
-    def test_empty_input(self):
-        with pytest.raises(eb.MalformedHeader):
-            parse_table("", "eurostat-tsv", "gdp")
-
-    def test_bad_numeric_cell(self):
-        with pytest.raises(eb.BadNumeric):
-            parse_table("geo\\time\t2000\nDE\tn/a\n", "eurostat-tsv", "gdp")
-
-    def test_duplicate_country_year(self):
-        text = "geo\\time\t2000\nDE\t1.0\nX,DE\t2.0\n"
-        with pytest.raises(eb.DuplicateKey):
-            parse_table(text, "eurostat-tsv", "gdp")
-
 
 class TestPlainCsv:
     def test_parse(self):
-        triples = parse_table("country,year,value\nEL,2000,0.5\n",
-                              "plain-csv", "cab_pct")
+        triples = parse_table("country,year,value\nEL,2000,0.5\n")
         assert triples == [("EL", 2000, 0.5)]
 
     def test_header_required(self):
         with pytest.raises(eb.MalformedHeader):
-            parse_table("land,jahr,wert\nDE,2000,1.0\n", "plain-csv", "gdp")
+            parse_table("land,jahr,wert\nDE,2000,1.0\n")
 
     def test_field_count(self):
         with pytest.raises(eb.BadNumeric):
-            parse_table("country,year,value\nDE,2000\n", "plain-csv", "gdp")
+            parse_table("country,year,value\nDE,2000\n")
 
     def test_bad_number(self):
         with pytest.raises(eb.BadNumeric):
-            parse_table("country,year,value\nDE,2000,one\n",
-                        "plain-csv", "gdp")
+            parse_table("country,year,value\nDE,2000,one\n")
 
     def test_duplicate_row(self):
         text = "country,year,value\nDE,2000,1.0\nDE,2000,2.0\n"
         with pytest.raises(eb.DuplicateKey):
-            parse_table(text, "plain-csv", "gdp")
+            parse_table(text)
 
-    def test_unknown_format_and_role(self):
-        with pytest.raises(ValueError):
-            parse_table("country,year,value\n", "xml", "gdp")
-        with pytest.raises(ValueError):
-            parse_table("country,year,value\n", "plain-csv", "population")
+    @pytest.mark.parametrize("value", ("nan", "inf", "-Infinity"))
+    def test_non_finite_value(self, value):
+        with pytest.raises(eb.BadNumeric):
+            parse_table(f"country,year,value\nDE,2000,{value}\n")
 
 
 class TestAssemble:
@@ -148,7 +99,7 @@ class TestBundled:
     def test_round_trip_bit_exact(self, dataset):
         for role in ("gdp", "cab_pct", "ggb"):
             text = eb.to_plain_csv(dataset, role)
-            triples = parse_table(text, "plain-csv", role)
+            triples = parse_table(text)
             field = {"gdp": "gdp", "cab_pct": "cab_pct",
                      "ggb": "ggb_eur"}[role]
             want = {(r.country, r.year): getattr(r, field)
