@@ -70,6 +70,9 @@ def _check_config(parser: argparse.ArgumentParser,
                 parser.error(f"missing data file {args.data_dir / name}")
     if args.regions is not None and not args.regions.is_file():
         parser.error(f"regions file {args.regions} does not exist")
+    existing = next(p for p in (args.out, *args.out.parents) if p.exists())
+    if not existing.is_dir():
+        parser.error(f"--out {args.out}: {existing} is not a directory")
     level = getattr(args, "level", None)
     if level is not None and not 0.0 < level < 1.0:
         parser.error(f"--level must lie in (0, 1), got {level}")

@@ -46,7 +46,29 @@ PLOT_STEPS_PER_YEAR = 20  # grid step 0.05
 
 
 def sig6(x: float) -> str:
-    """Render x with 6 significant digits, half rounded away from zero."""
+    """Render x with 6 significant digits, half rounded away from zero.
+
+    The digits are those of repr(x) rounded half-up. For a normal double
+    whose 7th significant digit is not 5, repr(x) and the exact binary
+    value lie on the same side of every 6-digit rounding boundary, so
+    printf-style rounding of the binary value gives the same digits.
+    """
+    if 1e-99 <= abs(x) < 1e99:
+        seven = "%.6e" % x  # two exponent digits, so [-5] is the 7th digit
+        if seven[-5] != "5":
+            e = int(seven[-3:])
+            if not -5 < e < 5:  # rounding to 6 digits may raise e by one
+                mantissa, exp = ("%.5e" % x).split("e")
+                e = int(exp)
+                if e >= 6 or e <= -5:
+                    return f"{mantissa.rstrip('0').rstrip('.')}e{e}"
+            s = "%.*f" % (5 - e, x)
+            return s.rstrip("0") if "." in s else s + "."
+    return _sig6_exact(x)
+
+
+def _sig6_exact(x: float) -> str:
+    """sig6 by Decimal arithmetic on repr(x); exact for every float."""
     if x == 0:
         return "0."
     d = Decimal(repr(float(x)))
@@ -204,22 +226,26 @@ def _year_table(dataset: Dataset, regions: dict[str, RegionDefinition],
                 title: str, columns: Sequence[tuple[str, str, str]]) -> Table:
     annual: dict[tuple[str, str], dict[int, float]] = {}
 
-    def series(name: str, kind: str) -> dict[int, float]:
+    def series_at(name: str, kind: str, year: int) -> float:
         if (name, kind) not in annual:
             points = accounting.region_series(
                 dataset, _region(regions, name), kind, "annual").points
             annual[name, kind] = {BASE_YEAR + t: v for t, v in points}
-        return annual[name, kind]
+        try:
+            return annual[name, kind][year]
+        except KeyError:
+            raise accounting.EmptyIntersection(
+                f"no {kind} data for region {name!r} in {year}") from None
 
     rows = []
     for year in dataset.years:
         values: list[float] = []
         for _, measure, subject in columns:
             if measure in ("GDP", "CAB"):
-                value = series(subject, measure)[year]
+                value = series_at(subject, measure, year)
             elif measure == "CAB/GDP":
-                value = (series(subject, "CAB")[year]
-                         / series(subject, "GDP")[year])
+                value = (series_at(subject, "CAB", year)
+                         / series_at(subject, "GDP", year))
             elif measure == "region share":
                 value = accounting.gdp_share(
                     dataset, _region(regions, subject), year)

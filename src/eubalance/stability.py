@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expfit import ExpFitModel, bisect, predict, se_single, t_quantile
+from .expfit import ExpFitModel, bisect, se_single, t_quantile
 
 DEFAULT_BAND_LEVEL = 0.99
 BRACKET_HALF_WIDTH = 15.0
@@ -139,51 +139,30 @@ def turning_points(analysis: GapAnalysis) -> TurningPoints:
     return TurningPoints(t0=t0, t1=t1, t2=t2, level=level)
 
 
+def _bands(model: ExpFitModel, q: float, t: float) -> tuple[float, float]:
+    """Lower and upper bound of model's band of q single-prediction SEs."""
+    pred = model.alpha * math.exp(model.beta * t)
+    spread = q * se_single(model, t)
+    return pred - spread, pred + spread
+
+
 def band_envelope(model: ExpFitModel, t: float,
                   band_level: float) -> tuple[float, float]:
     """Single-prediction confidence band bounds of one model at t."""
-    row = predict(model, t, level=band_level)
-    return row.ci_low, row.ci_high
+    if not 0.0 < band_level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {band_level}")
+    return _bands(model, t_quantile(1.0 - (1.0 - band_level) / 2.0,
+                                    model.dof), t)
 
 
-def _band_functions(analysis: GapAnalysis, q_s: float, q_d: float):
-    """The four band curves measured on the positive (magnitude) axis."""
-    s, d = analysis.surplus_model, analysis.deficit_model
-
-    def surplus(t: float) -> float:
-        return s.alpha * math.exp(s.beta * t)
-
-    def deficit_mag(t: float) -> float:
-        return -d.alpha * math.exp(d.beta * t)
-
-    return (
-        lambda t: surplus(t) + q_s * se_single(s, t),
-        lambda t: surplus(t) - q_s * se_single(s, t),
-        lambda t: deficit_mag(t) + q_d * se_single(d, t),
-        lambda t: deficit_mag(t) - q_d * se_single(d, t),
-    )
-
-
-def _band_roots(func, level: float, lo: float, hi: float) -> list[float]:
-    """All crossings of func(t) = level in [lo, hi]: scan, bisect, polish."""
-    roots: list[float] = []
-    steps = int(round((hi - lo) / SCAN_STEP))
-    prev_t = lo
-    prev_v = func(lo) - level
-    for k in range(1, steps + 1):
-        t = lo + (hi - lo) * k / steps
-        v = func(t) - level
-        if prev_v == 0.0:
-            roots.append(prev_t)
-        elif prev_v * v < 0.0:
-            x = bisect(lambda u: func(u) - level, prev_t, t)
-            h = 1e-7
-            slope = (func(x + h) - func(x - h)) / (2.0 * h)
-            if slope != 0.0:
-                x -= (func(x) - level) / slope
-            roots.append(x)
-        prev_t, prev_v = t, v
-    return roots
+def _crossing(band, level: float, lo: float, hi: float) -> float:
+    """The crossing of band(t) = level in [lo, hi]: bisect, then polish."""
+    x = bisect(lambda u: band(u) - level, lo, hi)
+    h = 1e-7
+    slope = (band(x + h) - band(x - h)) / (2.0 * h)
+    if slope != 0.0:
+        x -= (band(x) - level) / slope
+    return x
 
 
 def uncertainty_interval(analysis: GapAnalysis,
@@ -195,22 +174,36 @@ def uncertainty_interval(analysis: GapAnalysis,
     intersected with the horizontal line at the turning-point level. Bands
     that never reach the level inside [t0 - 15, t0 + 15] contribute no
     root; the interval spans the earliest and latest of the roots found.
+    One scan with step SCAN_STEP brackets the crossings of all four bands.
     """
     if not 0.0 < band_level < 1.0:
         raise ValueError(f"band_level must lie in (0, 1), got {band_level}")
     tp = turning_points(analysis)
-    q_s = t_quantile(1.0 - (1.0 - band_level) / 2.0,
-                     analysis.surplus_model.dof)
-    q_d = t_quantile(1.0 - (1.0 - band_level) / 2.0,
-                     analysis.deficit_model.dof)
-    funcs = _band_functions(analysis, q_s, q_d)
+    s, d = analysis.surplus_model, analysis.deficit_model
+    q_s = t_quantile(1.0 - (1.0 - band_level) / 2.0, s.dof)
+    q_d = t_quantile(1.0 - (1.0 - band_level) / 2.0, d.dof)
+    # the four band curves measured on the positive (magnitude) axis
+    bands = (lambda t: _bands(s, q_s, t)[1], lambda t: _bands(s, q_s, t)[0],
+             lambda t: -_bands(d, q_d, t)[0], lambda t: -_bands(d, q_d, t)[1])
+    level = tp.level
     lo, hi = tp.t0 - BRACKET_HALF_WIDTH, tp.t0 + BRACKET_HALF_WIDTH
+    steps = int(round((hi - lo) / SCAN_STEP))
     roots: list[float] = []
-    for func in funcs:
-        roots.extend(_band_roots(func, tp.level, lo, hi))
+    prev_t, prev = lo, ()  # the first point has nothing to compare with
+    for k in range(steps + 1):
+        t = lo + (hi - lo) * k / steps
+        s_lo, s_hi = _bands(s, q_s, t)
+        d_lo, d_hi = _bands(d, q_d, t)
+        values = (s_hi - level, s_lo - level, -d_lo - level, -d_hi - level)
+        for band, v0, v in zip(bands, prev, values):
+            if v0 == 0.0:
+                roots.append(prev_t)
+            elif v0 * v < 0.0:
+                roots.append(_crossing(band, level, prev_t, t))
+        prev_t, prev = t, values
     if not roots:
         raise RootNotBracketed(
-            f"no band attains the level {tp.level:.6g} in "
+            f"no band attains the level {level:.6g} in "
             f"[{lo:.6g}, {hi:.6g}]")
     return UncertaintyInterval(t_m=min(roots), t_M=max(roots),
                                band_level=band_level,

@@ -1,4 +1,5 @@
 """Command dispatch, emitted files, exit codes, determinism."""
+import json
 import math
 import os
 import shutil
@@ -204,6 +205,29 @@ class TestExitCodes:
         rc = cli.main(["--regions", str(regions), "--out", str(tmp_path),
                        "fit", "--series", "eu9plus"])
         assert rc == 3
+
+    @pytest.mark.parametrize("table", (8, 9))
+    def test_region_starting_late_is_exit_3(self, tmp_path, capsys, table):
+        # Bulgaria reports no current account before 1998
+        regions = {name: sorted(region.members) for name, region
+                   in accounting.bundled_regions().items()}
+        regions["EU10"] = ["BG"]
+        path = tmp_path / "regions.json"
+        path.write_text(json.dumps(regions))
+        rc = cli.main(["--regions", str(path), "--out", str(tmp_path),
+                       "report", "--table", str(table)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == "error: no CAB data for region 'EU10' in 1995\n"
+
+    @pytest.mark.parametrize("below", ("", "sub"))
+    def test_out_in_a_file_is_config_error(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--out", str(taken / below), "report", "--table", "1"])
+        assert exc.value.code == 2
+        assert "is not a directory" in capsys.readouterr().err
 
     def test_solver_failure_is_exit_4(self, tmp_path, monkeypatch):
         def explode(points):

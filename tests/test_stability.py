@@ -5,7 +5,8 @@ import random
 import pytest
 
 import eubalance as eb
-from eubalance.expfit import AnovaTable, ExpFitModel
+from eubalance import reports, stability
+from eubalance.expfit import AnovaTable, ExpFitModel, bisect
 from eubalance.stability import band_envelope
 
 import golden_values as gv
@@ -239,3 +240,104 @@ class TestPhaseLabel:
             "decreasing-stability"
         assert eb.phase_label(analysis, tp.t0 + 2.0) == \
             "increasing-instability"
+
+
+# References for the band arithmetic: the bounds through expfit.predict and
+# one bracketing scan per band, as computed before the bands were folded
+# into a single scan. The program must reproduce them bit for bit.
+
+def _predict_envelope(model, t, band_level):
+    row = eb.predict(model, t, level=band_level)
+    return row.ci_low, row.ci_high
+
+
+def _reference_band_roots(func, level, lo, hi):
+    roots = []
+    steps = int(round((hi - lo) / stability.SCAN_STEP))
+    prev_t = lo
+    prev_v = func(lo) - level
+    for k in range(1, steps + 1):
+        t = lo + (hi - lo) * k / steps
+        v = func(t) - level
+        if prev_v == 0.0:
+            roots.append(prev_t)
+        elif prev_v * v < 0.0:
+            x = bisect(lambda u: func(u) - level, prev_t, t)
+            h = 1e-7
+            slope = (func(x + h) - func(x - h)) / (2.0 * h)
+            if slope != 0.0:
+                x -= (func(x) - level) / slope
+            roots.append(x)
+        prev_t, prev_v = t, v
+    return roots
+
+
+def _reference_interval(analysis, band_level):
+    tp = eb.turning_points(analysis)
+    s, d = analysis.surplus_model, analysis.deficit_model
+    q_s = eb.t_quantile(1.0 - (1.0 - band_level) / 2.0, s.dof)
+    q_d = eb.t_quantile(1.0 - (1.0 - band_level) / 2.0, d.dof)
+
+    def surplus(t):
+        return s.alpha * math.exp(s.beta * t)
+
+    def deficit_mag(t):
+        return -d.alpha * math.exp(d.beta * t)
+
+    funcs = (lambda t: surplus(t) + q_s * eb.se_single(s, t),
+             lambda t: surplus(t) - q_s * eb.se_single(s, t),
+             lambda t: deficit_mag(t) + q_d * eb.se_single(d, t),
+             lambda t: deficit_mag(t) - q_d * eb.se_single(d, t))
+    half = stability.BRACKET_HALF_WIDTH
+    roots = [root for func in funcs
+             for root in _reference_band_roots(func, tp.level, tp.t0 - half,
+                                               tp.t0 + half)]
+    return (min(roots), max(roots)) if roots else None
+
+
+def _toy_pairs():
+    pairs = [_toy_analysis(10.0, 0.1, 10.0, 0.2),
+             _toy_analysis(10.0, 0.1, 10.0, 0.2, mse_s=4.0, mse_d=9.0),
+             _toy_analysis(100.0, 0.17, 80.0, 0.23, mse_s=25.0, mse_d=400.0),
+             _toy_analysis(100.0, 0.17, 80.0, 0.23, mse_s=1e12, mse_d=1e12)]
+    rng = random.Random(20261018)
+    for _ in range(12):
+        b, d = sorted((rng.uniform(0.01, 0.5), rng.uniform(0.01, 0.5)))
+        pairs.append(_toy_analysis(rng.uniform(1.0, 1000.0), b,
+                                   rng.uniform(1.0, 1000.0), d,
+                                   mse_s=rng.uniform(0.0, 1e4),
+                                   mse_d=rng.uniform(0.0, 1e4)))
+    return pairs
+
+
+BAND_LEVELS = (0.5, 0.9, 0.99, 0.999)
+
+
+class TestBandReference:
+    def _check(self, analysis, band_level, monkeypatch):
+        want = _reference_interval(analysis, band_level)
+        if want is None:
+            with pytest.raises(eb.RootNotBracketed):
+                eb.uncertainty_interval(analysis, band_level)
+        else:
+            iv = eb.uncertainty_interval(analysis, band_level)
+            assert (iv.t_m, iv.t_M) == want
+        plot = reports.plot_data_table("x", analysis, band_level)
+        with monkeypatch.context() as patch:
+            patch.setattr(eb.stability, "band_envelope", _predict_envelope)
+            assert reports.plot_data_table("x", analysis,
+                                              band_level) == plot
+
+    @pytest.mark.parametrize("band_level", BAND_LEVELS)
+    def test_scopes_match_reference(self, analyses, band_level, monkeypatch):
+        for analysis in analyses.values():
+            self._check(analysis, band_level, monkeypatch)
+            for model in (analysis.surplus_model, analysis.deficit_model):
+                for t in (-3.0, 0.0, 12.5, 30.0):
+                    assert band_envelope(model, t, band_level) == \
+                        _predict_envelope(model, t, band_level)
+
+    @pytest.mark.parametrize("band_level", BAND_LEVELS)
+    def test_toy_pairs_match_reference(self, band_level, monkeypatch):
+        for analysis in _toy_pairs():
+            self._check(analysis, band_level, monkeypatch)
