@@ -188,7 +188,10 @@ def complement(region: RegionDefinition,
 def load_regions(path) -> dict[str, RegionDefinition]:
     """Region definitions from a JSON object mapping name to code list."""
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ValueError("regions file is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError("regions file must be a JSON object")
     out = {}

@@ -10,7 +10,6 @@ difference between the current-account and government balances.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -41,7 +40,7 @@ class MissingGdp(DatasetError):
     """A balance value exists for a (country, year) with no GDP."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountryYearRecord:
     """One country-year observation; missing fields are None, never zero."""
 
@@ -66,12 +65,15 @@ class Dataset:
 
     def __init__(self, records: Iterable[CountryYearRecord],
                  provenance: Iterable[str] = ()) -> None:
-        store: dict[tuple[str, int], CountryYearRecord] = {}
-        for rec in records:
-            key = (rec.country, rec.year)
-            if key in store:
-                raise DuplicateKey(f"record for {key} appears twice")
-            store[key] = rec
+        records = list(records)
+        store = {(rec.country, rec.year): rec for rec in records}
+        if len(store) != len(records):
+            seen: set[tuple[str, int]] = set()
+            for rec in records:
+                key = (rec.country, rec.year)
+                if key in seen:
+                    raise DuplicateKey(f"record for {key} appears twice")
+                seen.add(key)
         self._records: Mapping[tuple[str, int], CountryYearRecord] = \
             MappingProxyType(store)
         self._countries = tuple(sorted({c for c, _ in store}))
@@ -102,14 +104,39 @@ class Dataset:
 
 
 def parse_table(raw_text: str) -> list[tuple[str, int, float]]:
-    """Parse one plain-CSV table into (country, year, value) triples."""
-    reader = io.StringIO(raw_text)
-    header = reader.readline().strip()
+    """Parse one plain-CSV table into (country, year, value) triples.
+
+    The body is converted column by column; on any anomaly the line loop
+    (:func:`_parse_lines`) runs instead, so the first bad line raises.
+    """
+    header, _, body = raw_text.partition("\n")
+    header = header.strip()
     if tuple(h.strip() for h in header.split(",")) != PLAIN_CSV_HEADER:
         raise MalformedHeader(f"expected header 'country,year,value', got {header!r}")
+    lines = list(filter(None, map(str.strip, body.split("\n"))))
+    # Joined with ",\n", a newline can only open a cell, so if the cells
+    # at 3, 6, ... hold all n - 1 newlines, every line has three fields.
+    cells = ",\n".join(lines).split(",")
+    if (len(cells) == 3 * len(lines)
+            and "".join(cells[3::3]).count("\n") == len(lines) - 1):
+        countries = list(map(str.strip, cells[0::3]))
+        try:
+            years = list(map(int, cells[1::3]))
+            values = list(map(float, cells[2::3]))
+        except ValueError:
+            pass
+        else:
+            if (all(map(math.isfinite, values))
+                    and len(set(zip(countries, years))) == len(lines)):
+                return list(zip(countries, years, values))
+    return _parse_lines(body)
+
+
+def _parse_lines(body: str) -> list[tuple[str, int, float]]:
+    """Line-by-line parse of a table body (line 2 onwards)."""
     triples: list[tuple[str, int, float]] = []
     seen: set[tuple[str, int]] = set()
-    for lineno, ln in enumerate(reader, start=2):
+    for lineno, ln in enumerate(body.split("\n"), start=2):
         ln = ln.strip()
         if not ln:
             continue
@@ -147,25 +174,29 @@ def assemble(gdp_triples: Iterable[tuple[str, int, float]],
         if key not in gdp:
             raise MissingGdp(f"balance present without GDP for {key}")
     records = []
-    for (country, year), g in sorted(gdp.items()):
-        p = pct.get((country, year))
-        b = ggb.get((country, year))
+    for key in sorted(gdp):
+        country, year = key
+        g = gdp[key]
+        p = pct.get(key)
+        b = ggb.get(key)
         cab = None if p is None else p * g
         psb = None if (cab is None or b is None) else cab - b
-        records.append(CountryYearRecord(
-            country=country, year=year, t=year - BASE_YEAR, gdp=g,
-            cab_pct=p, cab_eur=cab, ggb_eur=b, psb_eur=psb))
+        records.append(CountryYearRecord(country, year, year - BASE_YEAR, g,
+                                         p, cab, b, psb))
     return Dataset(records, provenance)
 
 
 def _unique(triples: Iterable[tuple[str, int, float]],
             role: str) -> dict[tuple[str, int], float]:
-    out: dict[tuple[str, int], float] = {}
-    for country, year, value in triples:
-        key = (country, year)
-        if key in out:
-            raise DuplicateKey(f"duplicate {role} triple for {key}")
-        out[key] = value
+    triples = list(triples)
+    out = {(country, year): value for country, year, value in triples}
+    if len(out) != len(triples):
+        seen: set[tuple[str, int]] = set()
+        for country, year, _ in triples:
+            key = (country, year)
+            if key in seen:
+                raise DuplicateKey(f"duplicate {role} triple for {key}")
+            seen.add(key)
     return out
 
 

@@ -132,11 +132,9 @@ def _reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def _t_cdf(x: float, dof: int) -> float:
-    if x == 0.0:
-        return 0.5
-    tail = 0.5 * _reg_inc_beta(dof / 2.0, 0.5, dof / (dof + x * x))
-    return 1.0 - tail if x > 0 else tail
+def _t_tail(x: float, dof: int) -> float:
+    """P(T > x) for x >= 0."""
+    return 0.5 * _reg_inc_beta(dof / 2.0, 0.5, dof / (dof + x * x))
 
 
 def _t_pdf(x: float, dof: int) -> float:
@@ -166,32 +164,40 @@ def bisect(func, lo: float, hi: float) -> float:
 
 @lru_cache(maxsize=1024)
 def t_quantile(p: float, dof: int) -> float:
-    """Inverse CDF of Student's t, accurate to well below 1e-9 absolute."""
+    """Inverse CDF of Student's t, to about 1e-11 relative."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if dof < 1:
         raise ValueError(f"dof must be a positive integer, got {dof}")
     if p == 0.5:
         return 0.0
+    # Invert the tail probability, not the CDF, so the far tail is not lost
+    # in 1 - tail rounding. Above the median the tail is 1 - p, exact there.
+    # Below it, p is mirrored to 1 - p, which keeps t_quantile(p) equal to
+    # -t_quantile(1 - p); the mirror moves the tail by up to 2**-54, so
+    # below 1e-3 (relative cost above 5e-14) p itself is the tail.
     if p < 0.5:
-        return -t_quantile(1.0 - p, dof)
+        if p >= 1e-3:
+            return -t_quantile(1.0 - p, dof)
+        sign, tail = -1.0, p
+    else:
+        sign, tail = 1.0, 1.0 - p
     # Near the median the CDF loses all resolution (dof/(dof+x*x) rounds
     # to 1.0 below |x| ~ 4e-8), so invert the odd series cdf(x) - 1/2 =
     # pdf(0) * (x - (dof+1) x^3 / (6 dof) + ...) instead.
-    u = (p - 0.5) / _t_pdf(0.0, dof)
+    u = (0.5 - tail) / _t_pdf(0.0, dof)
     if abs(u) < 1e-4:
-        return u + (dof + 1) / (6.0 * dof) * u ** 3
+        return sign * (u + (dof + 1) / (6.0 * dof) * u ** 3)
     # bracket, bisect, then Newton-polish with the analytic density
     hi = 2.0
-    while _t_cdf(hi, dof) < p:
+    while _t_tail(hi, dof) > tail:
         hi *= 2.0
         if hi > 1e300:
             raise ValueError("quantile out of range")
-    x = bisect(lambda v: _t_cdf(v, dof) - p, 0.0, hi)
+    x = bisect(lambda v: tail - _t_tail(v, dof), 0.0, hi)
     for _ in range(3):
-        err = _t_cdf(x, dof) - p
-        x -= err / _t_pdf(x, dof)
-    return x
+        x += (_t_tail(x, dof) - tail) / _t_pdf(x, dof)
+    return sign * x
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,15 @@ class TestExitCodes:
                        "fit", "--series", "eu9plus"])
         assert rc == 3
 
+    def test_deeply_nested_regions_is_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "regions.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        rc = cli.main(["--regions", str(path), "--out", str(tmp_path),
+                       "report", "--table", "1"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == "error: regions file is nested too deeply\n"
+
     @pytest.mark.parametrize("table", (8, 9))
     def test_region_starting_late_is_exit_3(self, tmp_path, capsys, table):
         # Bulgaria reports no current account before 1998

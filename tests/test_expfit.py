@@ -24,6 +24,21 @@ class TestTQuantile:
         assert eb.t_quantile(0.5, 7) == 0.0
         assert eb.t_quantile(0.1, 7) == -eb.t_quantile(0.9, 7)
 
+    def test_scipy_oracle(self):
+        stats = pytest.importorskip("scipy.stats")
+        # kept at |p - 0.5| >= 0.01: nearer the median scipy itself is off
+        # (it gives 0.0 at p = 0.5 - 1e-9, dof 4)
+        tails = [10.0 ** -k for k in range(12, 0, -1)] + [0.2, 0.3, 0.4,
+                                                          0.45, 0.49]
+        failures = []
+        for dof in range(1, 201):
+            for p in tails + [1.0 - q for q in tails]:
+                want = stats.t.ppf(p, dof)
+                got = eb.t_quantile(p, dof)
+                if abs(got - want) > 1e-9 * abs(want):
+                    failures.append((p, dof, got, want))
+        assert failures == []
+
     def test_monotone_in_p(self):
         qs = [eb.t_quantile(p, 11) for p in (0.6, 0.7, 0.8, 0.9, 0.99)]
         assert qs == sorted(qs)

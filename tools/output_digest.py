@@ -8,6 +8,11 @@ every file it writes, so two checkouts that print the same digest
 produce byte-identical output.
 
     python tools/output_digest.py [--data-dir DIR] [--regions FILE]
+    python tools/output_digest.py --generated SEED
+
+``--generated SEED`` digests the input that
+``perfbench/scaledata.generate(<bundled data>, DIR, SEED)`` writes to a
+temporary DIR, run with ``--data-dir DIR --regions DIR/regions.json``.
 
 Compare digests on one machine only: ``math.exp`` may differ in the last
 bit between platforms' libm, which moves some printed digits.
@@ -22,7 +27,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 SERIES = ("eu9plus", "eu18minus", "euro7plus", "euro10minus")
 FIT_LEVELS = ("0.95", "0.5", "0.999")
 BAND_LEVELS = ("0.5", "0.8", "0.9", "0.95", "0.97", "0.98", "0.99", "0.999")
@@ -60,7 +66,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--data-dir")
     parser.add_argument("--regions")
+    parser.add_argument("--generated", type=int, metavar="SEED")
     args = parser.parse_args(argv)
+    if args.generated is not None:
+        if args.data_dir or args.regions:
+            parser.error("--generated replaces --data-dir and --regions")
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        import scaledata
+
+        with tempfile.TemporaryDirectory() as tmp:
+            scaledata.generate(SRC / "eubalance" / "data", Path(tmp),
+                               args.generated)
+            print(digest(["--data-dir", tmp,
+                          "--regions", str(Path(tmp) / "regions.json")]))
+        return 0
     data_args = []
     if args.data_dir:
         data_args += ["--data-dir", args.data_dir]
