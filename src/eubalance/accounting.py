@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
-from .dataset import Dataset, MissingGdp
+from .dataset import Dataset, MissingGdp, _Frozen
 
 KINDS = ("CAB", "GGB", "PSB", "GDP")
 MODES = ("annual", "cumulative")
@@ -36,10 +35,8 @@ class DegenerateSpan(AccountingError):
     """An average rate needs at least two distinct time points."""
 
 
-@dataclass(frozen=True)
-class RegionDefinition:
-    name: str
-    members: frozenset[str]
+class RegionDefinition(_Frozen):
+    __slots__ = ("name", "members")
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -47,23 +44,13 @@ class RegionDefinition:
         object.__setattr__(self, "members", frozenset(self.members))
 
 
-@dataclass(frozen=True)
-class BalanceSeries:
-    subject: str
-    kind: str
-    mode: str
-    points: tuple[tuple[int, float], ...]
+class BalanceSeries(_Frozen):
+    __slots__ = ("subject", "kind", "mode", "points")
 
 
-@dataclass(frozen=True)
-class TotalsRow:
-    subject: str
-    cab_total: float
-    ggb_total: float
-    psb_total: float
-    rank_cab: int
-    rank_ggb: int
-    rank_psb: int
+class TotalsRow(_Frozen):
+    __slots__ = ("subject", "cab_total", "ggb_total", "psb_total",
+                 "rank_cab", "rank_ggb", "rank_psb")
 
 
 def psb(cab: float, ggb: float) -> float:
@@ -111,7 +98,7 @@ def region_total(dataset: Dataset, region: RegionDefinition, kind: str) -> float
 
 
 def totals_table(dataset: Dataset, countries: Sequence[str],
-                 period: Optional[tuple[int, int]] = None) -> list[TotalsRow]:
+                 period: tuple[int, int] | None = None) -> list[TotalsRow]:
     """Per-country whole-period totals with descending signed-value ranks.
 
     Rank ties are broken by country code so re-ranking is reproducible.
@@ -141,7 +128,7 @@ def totals_table(dataset: Dataset, countries: Sequence[str],
 
 
 def gdp_share(dataset: Dataset, subject, year: int,
-              universe: Optional[RegionDefinition] = None) -> float:
+              universe: RegionDefinition | None = None) -> float:
     """Share of the universe's GDP (default: all countries in the dataset)."""
     if universe is None:
         universe = RegionDefinition("ALL", frozenset(dataset.countries))

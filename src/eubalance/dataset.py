@@ -11,9 +11,8 @@ difference between the current-account and government balances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional
 
 BASE_YEAR = 1995
 
@@ -40,24 +39,86 @@ class MissingGdp(DatasetError):
     """A balance value exists for a (country, year) with no GDP."""
 
 
-@dataclass(frozen=True, slots=True)
-class CountryYearRecord:
-    """One country-year observation; missing fields are None, never zero."""
+class _Frozen:
+    """An immutable record with the fields named in the subclass's
+    __slots__, built, compared, hashed and shown as a frozen dataclass."""
 
-    country: str
-    year: int
-    t: int
-    gdp: float
-    cab_pct: Optional[float] = None
-    cab_eur: Optional[float] = None
-    ggb_eur: Optional[float] = None
-    psb_eur: Optional[float] = None
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, name = self.__slots__, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional "
+                            f"arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword "
+                                f"argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for "
+                                f"argument {key!r}")
+            values[key] = value
+        for key in fields:
+            if key not in values:
+                raise TypeError(f"{name}() missing required argument {key!r}")
+            object.__setattr__(self, key, values[key])
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.t != self.year - BASE_YEAR:
-            raise ValueError(f"t={self.t} inconsistent with year={self.year}")
-        if self.gdp < 0:
-            raise ValueError(f"negative GDP for {self.country} {self.year}")
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, key) for key in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{key}={getattr(self, key)!r}"
+                           for key in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class CountryYearRecord(_Frozen):
+    """One country-year observation; missing fields are None, never zero."""
+
+    __slots__ = ("country", "year", "t", "gdp", "cab_pct", "cab_eur",
+                 "ggb_eur", "psb_eur")
+
+    def __init__(self, country: str, year: int, t: int, gdp: float,
+                 cab_pct: float | None = None, cab_eur: float | None = None,
+                 ggb_eur: float | None = None,
+                 psb_eur: float | None = None) -> None:
+        if t != year - BASE_YEAR:
+            raise ValueError(f"t={t} inconsistent with year={year}")
+        if gdp < 0:
+            raise ValueError(f"negative GDP for {country} {year}")
+        put = object.__setattr__
+        put(self, "country", country)
+        put(self, "year", year)
+        put(self, "t", t)
+        put(self, "gdp", gdp)
+        put(self, "cab_pct", cab_pct)
+        put(self, "cab_eur", cab_eur)
+        put(self, "ggb_eur", ggb_eur)
+        put(self, "psb_eur", psb_eur)
 
 
 class Dataset:
@@ -84,7 +145,7 @@ class Dataset:
     def records(self) -> Mapping[tuple[str, int], CountryYearRecord]:
         return self._records
 
-    def get(self, country: str, year: int) -> Optional[CountryYearRecord]:
+    def get(self, country: str, year: int) -> CountryYearRecord | None:
         return self._records.get((country, year))
 
     @property

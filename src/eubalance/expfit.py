@@ -13,9 +13,10 @@ regularized incomplete beta function; no external statistics library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Optional, Sequence
+
+from .dataset import _Frozen
 
 MAX_ITER = 200
 REL_TOL = 1e-12
@@ -37,27 +38,14 @@ class DegenerateTotal(FitError):
     """Uncorrected total sum of squares is zero; R^2 undefined."""
 
 
-@dataclass(frozen=True)
-class AnovaTable:
-    ss_model: float
-    ss_error: float
-    ss_uncorrected_total: float
-    ss_corrected_total: float
-    df_model: int
-    df_error: int
-    df_uncorrected: int
-    df_corrected: int
+class AnovaTable(_Frozen):
+    __slots__ = ("ss_model", "ss_error", "ss_uncorrected_total",
+                 "ss_corrected_total", "df_model", "df_error",
+                 "df_uncorrected", "df_corrected")
 
 
-@dataclass(frozen=True)
-class ExpFitModel:
-    alpha: float
-    beta: float
-    cov: tuple[tuple[float, float], tuple[float, float]]
-    n: int
-    dof: int
-    mse: float
-    anova: AnovaTable
+class ExpFitModel(_Frozen):
+    __slots__ = ("alpha", "beta", "cov", "n", "dof", "mse", "anova")
 
     @property
     def se_alpha(self) -> float:
@@ -68,15 +56,9 @@ class ExpFitModel:
         return math.sqrt(self.cov[1][1])
 
 
-@dataclass(frozen=True)
-class PredictionRow:
-    t: float
-    observed: Optional[float]
-    predicted: float
-    se_single: float
-    ci_low: float
-    ci_high: float
-    level: float
+class PredictionRow(_Frozen):
+    __slots__ = ("t", "observed", "predicted", "se_single", "ci_low",
+                 "ci_high", "level")
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +318,7 @@ def se_single(model: ExpFitModel, t: float) -> float:
 
 
 def predict(model: ExpFitModel, t: float, level: float = 0.95,
-            observed: Optional[float] = None) -> PredictionRow:
+            observed: float | None = None) -> PredictionRow:
     """Point prediction at t with a single-observation confidence interval."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")

@@ -9,13 +9,11 @@ two emitted forms of a report always agree cell for cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import accounting, expfit, stability
 from .accounting import RegionDefinition
-from .dataset import BASE_YEAR, Dataset
+from .dataset import BASE_YEAR, Dataset, _Frozen
 
 COUNTRY_NAMES = {
     "AT": "Austria", "BE": "Belgium", "BG": "Bulgaria", "CY": "Cyprus",
@@ -69,6 +67,8 @@ def sig6(x: float) -> str:
 
 def _sig6_exact(x: float) -> str:
     """sig6 by Decimal arithmetic on repr(x); exact for every float."""
+    from decimal import Decimal, ROUND_HALF_UP
+
     if x == 0:
         return "0."
     d = Decimal(repr(float(x)))
@@ -95,11 +95,8 @@ def _sig6_exact(x: float) -> str:
     return s
 
 
-@dataclass(frozen=True)
-class Table:
-    title: str
-    header: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
+class Table(_Frozen):
+    __slots__ = ("title", "header", "rows")
 
 
 def to_csv(table: Table) -> str:

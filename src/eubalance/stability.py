@@ -11,8 +11,8 @@ yields an uncertainty time interval [t_m, t_M] around t0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .dataset import _Frozen
 from .expfit import ExpFitModel, bisect, se_single, t_quantile
 
 DEFAULT_BAND_LEVEL = 0.99
@@ -32,10 +32,8 @@ class RootNotBracketed(StabilityError):
     """No confidence band attains the turning-point level in the bracket."""
 
 
-@dataclass(frozen=True)
-class GapAnalysis:
-    surplus_model: ExpFitModel
-    deficit_model: ExpFitModel
+class GapAnalysis(_Frozen):
+    __slots__ = ("surplus_model", "deficit_model")
 
     def __post_init__(self) -> None:
         if self.surplus_model.alpha <= 0.0:
@@ -62,20 +60,12 @@ class GapAnalysis:
         return self.deficit_model.beta
 
 
-@dataclass(frozen=True)
-class TurningPoints:
-    t0: float
-    t1: float
-    t2: float
-    level: float
+class TurningPoints(_Frozen):
+    __slots__ = ("t0", "t1", "t2", "level")
 
 
-@dataclass(frozen=True)
-class UncertaintyInterval:
-    t_m: float
-    t_M: float
-    band_level: float
-    joint_level: float
+class UncertaintyInterval(_Frozen):
+    __slots__ = ("t_m", "t_M", "band_level", "joint_level")
 
 
 def gap_eval(analysis: GapAnalysis, t: float) -> tuple[float, float, float]:

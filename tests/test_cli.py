@@ -238,6 +238,15 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "is not a directory" in capsys.readouterr().err
 
+    def test_output_path_is_a_directory_is_config_error(self, tmp_path,
+                                                        capsys):
+        (tmp_path / "table_1.csv").mkdir()
+        rc = run(tmp_path, "report", "--table", "1")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "table_1.csv" in err
+
     def test_solver_failure_is_exit_4(self, tmp_path, monkeypatch):
         def explode(points):
             raise expfit.NoConvergence("forced")
@@ -288,3 +297,15 @@ class TestOutputHygiene:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "EU27" in read(tmp_path, "table_4.csv")
+
+    def test_import_graph_is_lean(self):
+        # run with -S: this interpreter's site may load typing itself
+        src = str(BUNDLED_DATA.parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        probe = ("import sys, eubalance.cli; print(sorted(set(sys.modules) "
+                 "& {'dataclasses', 'inspect', 'decimal', 'typing'}))")
+        proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
