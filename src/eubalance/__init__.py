@@ -70,22 +70,3 @@ from .stability import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BASE_YEAR", "BadNumeric", "CountryYearRecord", "Dataset",
-    "DatasetError", "DuplicateKey", "MalformedHeader", "MissingGdp",
-    "assemble", "load_bundled", "load_files", "parse_table", "to_plain_csv",
-    "AccountingError", "BalanceSeries", "DegenerateSpan",
-    "EmptyIntersection", "NotSubset", "RegionDefinition", "TotalsRow",
-    "average_rate", "bundled_regions", "complement", "gdp_share",
-    "load_regions", "psb", "region_series", "region_total", "totals_table",
-    "AnovaTable", "DegenerateTotal", "ExpFitModel", "FitError",
-    "NoConvergence", "PredictionRow", "SingularJacobian", "fit_exponential",
-    "param_confidence_interval", "predict", "r_squared", "se_single",
-    "t_quantile",
-    "DEFAULT_BAND_LEVEL", "GapAnalysis", "NoIntersection",
-    "RootNotBracketed", "StabilityError", "TurningPoints",
-    "UncertaintyInterval", "band_envelope", "gap_eval", "phase_label",
-    "turning_points", "uncertainty_interval",
-    "__version__",
-]

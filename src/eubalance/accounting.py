@@ -97,17 +97,16 @@ def region_total(dataset: Dataset, region: RegionDefinition, kind: str) -> float
     return series.points[-1][1]
 
 
-def totals_table(dataset: Dataset, countries: Sequence[str],
-                 period: tuple[int, int] | None = None) -> list[TotalsRow]:
+def totals_table(dataset: Dataset,
+                 countries: Sequence[str]) -> list[TotalsRow]:
     """Per-country whole-period totals with descending signed-value ranks.
 
     Rank ties are broken by country code so re-ranking is reproducible.
     """
-    first, last = period if period else (min(dataset.years), max(dataset.years))
     totals: dict[str, tuple[float, float, float]] = {}
     for country in countries:
         cab, ggb = [], []
-        for year in range(first, last + 1):
+        for year in dataset.years:
             rec = dataset.get(country, year)
             if rec is None:
                 continue

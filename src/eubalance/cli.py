@@ -177,7 +177,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_INTERSECTION
     except (dataset.DatasetError, accounting.AccountingError,
-            ValueError) as exc:
+            ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:  # an input or output path that cannot be used

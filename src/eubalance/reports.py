@@ -66,33 +66,23 @@ def sig6(x: float) -> str:
 
 
 def _sig6_exact(x: float) -> str:
-    """sig6 by Decimal arithmetic on repr(x); exact for every float."""
-    from decimal import Decimal, ROUND_HALF_UP
-
+    """sig6 by half-up rounding of repr(x)'s digits; exact for every float."""
     if x == 0:
         return "0."
-    d = Decimal(repr(float(x)))
-    _, digits, exp = d.as_tuple()
-    e = len(digits) + exp - 1
-    r = d.quantize(Decimal(1).scaleb(e - 5), rounding=ROUND_HALF_UP)
-    if r == 0:
-        return "0."
-    _, dig2, exp2 = r.as_tuple()
-    e2 = len(dig2) + exp2 - 1
-    if e2 != e:
-        # rounding bumped the magnitude, e.g. 999.9999 -> 1000.00
-        r = d.quantize(Decimal(1).scaleb(e2 - 5), rounding=ROUND_HALF_UP)
-        e = e2
+    mantissa, _, exp = repr(abs(float(x))).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    digits = (whole + frac).lstrip("0")
+    e = int(exp or 0) + len(digits) - len(frac) - 1  # exponent of digits[0]
+    n = (int((digits + "000000")[:7]) + 5) // 10
+    if n == 1000000:  # the carry adds a digit, e.g. 9.999995 -> 10.0000
+        n, e = 100000, e + 1
+    d = str(n).rstrip("0")
+    sign = "-" if x < 0 else ""
     if e >= 6 or e <= -5:
-        return (format(r.normalize(), "e")
-                .replace("e+", "e").replace("e0", "e").replace("e-0", "e-"))
-    s = format(r, "f")
-    s = s.rstrip("0") if "." in s else s + "."
-    if s.startswith("."):
-        s = "0" + s
-    elif s.startswith("-."):
-        s = "-0" + s[1:]
-    return s
+        return f"{sign}{d[0]}{'.' if d[1:] else ''}{d[1:]}e{e}"
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{d}"
+    return f"{sign}{d[:e + 1].ljust(e + 1, '0')}.{d[e + 1:]}"
 
 
 class Table(_Frozen):
@@ -363,7 +353,7 @@ def stability_table(scope: str, analysis: stability.GapAnalysis,
         ("band_level", sig6(interval.band_level)),
         ("joint_level", sig6(interval.joint_level)),
         ("phase_at_latest_year",
-         stability.phase_label(analysis, float(latest_t))),
+         stability.phase_label(tp, float(latest_t))),
         ("latest_year", str(BASE_YEAR + latest_t)),
     )
     return Table(f"Gap stability analysis: {scope}", ("quantity", "value"),

@@ -200,14 +200,14 @@ def uncertainty_interval(analysis: GapAnalysis,
                                joint_level=band_level * band_level)
 
 
-def phase_label(analysis: GapAnalysis, t: float) -> str:
-    """Classify t against the slope root t1 and the sign root t0.
+def phase_label(tp: TurningPoints, t: float) -> str:
+    """Classify t against the slope root tp.t1 and the sign root tp.t0.
 
+    tp is the TurningPoints of the analysis, as turning_points returns it.
     The comparison runs at calendar-year resolution (nearest whole year),
     so a year whose midpoint the gap maximum falls in already counts as
     decreasing stability.
     """
-    tp = turning_points(analysis)
     year = round(t)
     if year < round(tp.t1):
         return "stable-growth"

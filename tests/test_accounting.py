@@ -1,5 +1,8 @@
 """Aggregation, ranking, shares, rates, and region set algebra."""
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -169,3 +172,33 @@ class TestRegionAlgebra:
         bad.write_text('[1, 2]', encoding="utf-8")
         with pytest.raises(ValueError):
             eb.load_regions(bad)
+
+    def test_load_regions_loads_or_raises_value_error(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        values = st.recursive(
+            st.none() | st.booleans() | st.floats() | st.integers()
+            | st.text(),
+            lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+            max_leaves=20)
+        regions = st.dictionaries(st.text(), st.lists(st.text()))
+        contents = (st.binary()
+                    | st.builds(json.dumps, values | regions)
+                    .map(str.encode))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "regions.json"
+
+            @hypothesis.settings(max_examples=500, deadline=None,
+                                 database=None, derandomize=True)
+            @hypothesis.given(contents)
+            def check(raw):
+                path.write_bytes(raw)
+                try:
+                    loaded = eb.load_regions(path)
+                except ValueError:
+                    return
+                assert all(isinstance(r, RegionDefinition)
+                           for r in loaded.values())
+
+            check()

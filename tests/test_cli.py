@@ -229,6 +229,30 @@ class TestExitCodes:
         assert rc == 3
         assert err == "error: no CAB data for region 'EU10' in 1995\n"
 
+    @pytest.mark.parametrize("gdp, argv", (
+        ({"DE": "0"}, ("report", "--table", "9")),
+        ({"DE": "0"}, ("report", "--table", "11")),
+        ({"DE": "1.5e308", "FR": "1.5e308"}, ("report", "--table", "6")),
+        ({"DE": "1.5e308", "FR": "1.5e308"}, ("fit", "--series", "eu9plus")),
+        ({"DE": "1.5e308", "FR": "1.5e308"}, ("stability", "--scope", "eu")),
+    ), ids=("table-9", "table-11", "table-6", "fit", "stability"))
+    def test_arithmetic_fault_is_exit_3(self, tmp_path, capsys, gdp, argv):
+        # a zero GDP divides by zero; two GDPs near the float maximum
+        # overflow their sum and the fit
+        data = tmp_path / "data"
+        shutil.copytree(BUNDLED_DATA, data)
+        text = (data / "gdp.csv").read_text()
+        for code, value in gdp.items():
+            row = next(line for line in text.split("\n")
+                       if line.startswith(f"{code},1995,"))
+            text = text.replace(row, f"{code},1995,{value}")
+        (data / "gdp.csv").write_text(text)
+        rc = cli.main(["--data-dir", str(data), "--out", str(tmp_path),
+                       *argv])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("below", ("", "sub"))
     def test_out_in_a_file_is_config_error(self, tmp_path, capsys, below):
         taken = tmp_path / "taken"
@@ -309,3 +333,20 @@ class TestOutputHygiene:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_no_command_loads_decimal(self, tmp_path):
+        src = str(BUNDLED_DATA.parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        probe = (
+            "import sys; from eubalance import cli\n"
+            "for argv in (['report', '--table', '9'],\n"
+            "             ['fit', '--series', 'eu9plus'],\n"
+            "             ['stability', '--scope', 'eu']):\n"
+            "    assert cli.main(['--out', sys.argv[1], *argv]) == 0\n"
+            "print('decimal' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-S", "-c", probe,
+                               str(tmp_path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("False\n")

@@ -153,6 +153,24 @@ class TestFitGoldens:
                                      model.beta * (1 + db))
                         assert trial >= base
 
+    def test_least_squares_oracle(self, models, fit_points):
+        np = pytest.importorskip("numpy")
+        optimize = pytest.importorskip("scipy.optimize")
+        for key in SERIES:
+            t = np.array([p[0] for p in fit_points[key]], dtype=float)
+            y = np.array([p[1] for p in fit_points[key]], dtype=float)
+            start = (gv.SUMMARIES[key][0], gv.SUMMARIES[key][3])
+            result = optimize.least_squares(
+                lambda p: p[0] * np.exp(p[1] * t) - y, start,
+                ftol=1e-15, xtol=1e-15, gtol=1e-15)
+            alpha, beta = map(float, result.x)
+            model = models[key]
+            assert model.alpha == pytest.approx(alpha, rel=1e-6)
+            assert model.beta == pytest.approx(beta, rel=1e-6)
+            theirs = _ssr(fit_points[key], alpha, beta)
+            assert _ssr(fit_points[key], model.alpha, model.beta) <= \
+                theirs * (1.0 + 1e-12)
+
 
 class TestJacobian:
     def test_matches_finite_differences(self, models):

@@ -109,6 +109,20 @@ class TestTurningPoints:
             assert abs((tp.t0 - tp.t1) - spacing) <= 1e-9
             assert abs((tp.t1 - tp.t2) - spacing) <= 1e-9
 
+    def test_brentq_oracle(self, analyses):
+        optimize = pytest.importorskip("scipy.optimize")
+        for analysis in (*analyses.values(), *_toy_pairs()):
+            tp = eb.turning_points(analysis)
+            for k, got in enumerate((tp.t0, tp.t1, tp.t2)):
+                def f(t):
+                    return eb.gap_eval(analysis, t)[k]
+                # the k-th derivative changes sign once: widen until it does
+                h = 1.0
+                while f(got - h) * f(got + h) > 0.0:
+                    h *= 2.0
+                want = optimize.brentq(f, got - h, got + h, xtol=1e-15)
+                assert abs(got - want) <= 1e-9 * max(abs(want), 1.0)
+
     def test_no_intersection_for_equal_rates(self):
         with pytest.raises(eb.NoIntersection):
             eb.turning_points(_toy_analysis(10.0, 0.2, 20.0, 0.2))
@@ -223,23 +237,23 @@ def _bands_at(model, t, band_level):
 
 class TestPhaseLabel:
     def test_latest_year_classification(self, analyses):
-        assert eb.phase_label(analyses["eu"], 16.0) == \
+        assert eb.phase_label(eb.turning_points(analyses["eu"]), 16.0) == \
             "increasing-instability"
-        assert eb.phase_label(analyses["eurozone"], 16.0) == \
-            "decreasing-stability"
+        assert eb.phase_label(eb.turning_points(analyses["eurozone"]),
+                              16.0) == "decreasing-stability"
 
     def test_far_past_is_stable_growth(self, analyses):
         for analysis in analyses.values():
-            assert eb.phase_label(analysis, -100.0) == "stable-growth"
+            assert eb.phase_label(eb.turning_points(analysis), -100.0) == \
+                "stable-growth"
 
     def test_phase_ordering(self, analyses):
         analysis = analyses["eu"]
         tp = eb.turning_points(analysis)
-        assert eb.phase_label(analysis, tp.t1 - 2.0) == "stable-growth"
-        assert eb.phase_label(analysis, (tp.t1 + tp.t0) / 2) == \
+        assert eb.phase_label(tp, tp.t1 - 2.0) == "stable-growth"
+        assert eb.phase_label(tp, (tp.t1 + tp.t0) / 2) == \
             "decreasing-stability"
-        assert eb.phase_label(analysis, tp.t0 + 2.0) == \
-            "increasing-instability"
+        assert eb.phase_label(tp, tp.t0 + 2.0) == "increasing-instability"
 
 
 # References for the band arithmetic: the bounds through expfit.predict and
