@@ -11,7 +11,7 @@ import json
 import math
 from collections.abc import Iterable, Sequence
 
-from .dataset import Dataset, MissingGdp, _Frozen
+from .dataset import BASE_YEAR, Dataset, MissingGdp, _Frozen
 
 KINDS = ("CAB", "GGB", "PSB", "GDP")
 MODES = ("annual", "cumulative")
@@ -84,10 +84,10 @@ def region_series(dataset: Dataset, region: RegionDefinition, kind: str,
     for year in sorted(by_year):
         annual = math.fsum(by_year[year])
         if mode == "annual":
-            points.append((year - 1995, annual))
+            points.append((year - BASE_YEAR, annual))
         else:
             running.append(annual)
-            points.append((year - 1995, math.fsum(running)))
+            points.append((year - BASE_YEAR, math.fsum(running)))
     return BalanceSeries(region.name, kind, mode, tuple(points))
 
 
@@ -129,9 +129,8 @@ def totals_table(dataset: Dataset,
 def gdp_share(dataset: Dataset, subject, year: int,
               universe: RegionDefinition | None = None) -> float:
     """Share of the universe's GDP (default: all countries in the dataset)."""
-    if universe is None:
-        universe = RegionDefinition("ALL", frozenset(dataset.countries))
-    denom = _gdp_sum(dataset, universe.members, year)
+    members = dataset.countries if universe is None else universe.members
+    denom = _gdp_sum(dataset, members, year)
     if isinstance(subject, RegionDefinition):
         num = _gdp_sum(dataset, subject.members, year)
     else:
@@ -146,8 +145,9 @@ def _gdp_sum(dataset: Dataset, members: Iterable[str], year: int) -> float:
     values = []
     for country in members:
         rec = dataset.get(country, year)
-        if rec is None:
-            raise MissingGdp(f"no GDP for {country} {year}")
+        if rec is None:  # name the same member whatever the set's order
+            missing = min(c for c in members if dataset.get(c, year) is None)
+            raise MissingGdp(f"no GDP for {missing} {year}")
         values.append(rec.gdp)
     return math.fsum(values)
 

@@ -108,8 +108,9 @@ class CountryYearRecord(_Frozen):
                  psb_eur: float | None = None) -> None:
         if t != year - BASE_YEAR:
             raise ValueError(f"t={t} inconsistent with year={year}")
-        if gdp < 0:
-            raise ValueError(f"negative GDP for {country} {year}")
+        if not gdp > 0:
+            raise ValueError(f"GDP for {country} {year} is not positive: "
+                             f"{gdp!r}")
         put = object.__setattr__
         put(self, "country", country)
         put(self, "year", year)
@@ -124,8 +125,7 @@ class CountryYearRecord(_Frozen):
 class Dataset:
     """Immutable mapping of (country, year) to CountryYearRecord."""
 
-    def __init__(self, records: Iterable[CountryYearRecord],
-                 provenance: Iterable[str] = ()) -> None:
+    def __init__(self, records: Iterable[CountryYearRecord]) -> None:
         records = list(records)
         store = {(rec.country, rec.year): rec for rec in records}
         if len(store) != len(records):
@@ -139,7 +139,6 @@ class Dataset:
             MappingProxyType(store)
         self._countries = tuple(sorted({c for c, _ in store}))
         self._years = tuple(sorted({y for _, y in store}))
-        self.provenance = tuple(provenance)
 
     @property
     def records(self) -> Mapping[tuple[str, int], CountryYearRecord]:
@@ -221,8 +220,7 @@ def _parse_lines(body: str) -> list[tuple[str, int, float]]:
 
 def assemble(gdp_triples: Iterable[tuple[str, int, float]],
              cab_pct_triples: Iterable[tuple[str, int, float]],
-             ggb_triples: Iterable[tuple[str, int, float]],
-             provenance: Iterable[str] = ()) -> Dataset:
+             ggb_triples: Iterable[tuple[str, int, float]]) -> Dataset:
     """Combine the three roles into records.
 
     cab_eur = cab_pct * gdp; psb_eur = cab_eur - ggb_eur where both exist.
@@ -231,9 +229,9 @@ def assemble(gdp_triples: Iterable[tuple[str, int, float]],
     gdp = _unique(gdp_triples, "gdp")
     pct = _unique(cab_pct_triples, "cab_pct")
     ggb = _unique(ggb_triples, "ggb")
-    for key in pct.keys() | ggb.keys():
-        if key not in gdp:
-            raise MissingGdp(f"balance present without GDP for {key}")
+    missing = (pct.keys() | ggb.keys()) - gdp.keys()
+    if missing:
+        raise MissingGdp(f"balance present without GDP for {min(missing)}")
     records = []
     for key in sorted(gdp):
         country, year = key
@@ -244,7 +242,7 @@ def assemble(gdp_triples: Iterable[tuple[str, int, float]],
         psb = None if (cab is None or b is None) else cab - b
         records.append(CountryYearRecord(country, year, year - BASE_YEAR, g,
                                          p, cab, b, psb))
-    return Dataset(records, provenance)
+    return Dataset(records)
 
 
 def _unique(triples: Iterable[tuple[str, int, float]],
@@ -282,8 +280,7 @@ def load_files(gdp_path, cab_pct_path, ggb_path) -> Dataset:
     for path in (gdp_path, cab_pct_path, ggb_path):
         with open(path, encoding="utf-8", newline="") as fh:
             parts.append(parse_table(fh.read()))
-    return assemble(*parts, provenance=(str(gdp_path), str(cab_pct_path),
-                                        str(ggb_path)))
+    return assemble(*parts)
 
 
 def load_bundled() -> Dataset:
@@ -293,5 +290,4 @@ def load_bundled() -> Dataset:
     data = files("eubalance").joinpath("data")
     parts = [parse_table(data.joinpath(name).read_text(encoding="utf-8"))
              for name in ("gdp.csv", "cab_pct.csv", "ggb.csv")]
-    return assemble(*parts, provenance=("bundled:gdp.csv", "bundled:cab_pct.csv",
-                                        "bundled:ggb.csv"))
+    return assemble(*parts)

@@ -265,12 +265,9 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> ExpFitModel:
     dof = n - 2
     mse = ssr / dof
     s11, s12, s22, _, _ = _normal_terms(ts, ys, a, b)
-    det = s11 * s22 - s12 * s12
-    scale = max(abs(s11), abs(s22), abs(s12))
-    if scale == 0.0 or abs(det) < 1e-14 * scale * scale:
-        raise SingularJacobian("singular Jacobian at the optimum")
-    cov = ((mse * s22 / det, -mse * s12 / det),
-           (-mse * s12 / det, mse * s11 / det))
+    # mse * (J'J)^-1, one column per solve; the 0.0 terms vanish exactly
+    cov = tuple(zip(_solve2(s11, s12, s22, mse, 0.0),
+                    _solve2(s11, s12, s22, 0.0, mse)))
 
     ssu = math.fsum(y * y for y in ys)
     ybar = math.fsum(ys) / n

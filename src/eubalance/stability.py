@@ -88,43 +88,13 @@ def _gap_root(a: float, b: float, c: float, d: float) -> float:
     return math.log(ratio) / (d - b)
 
 
-def _refine(func, x: float) -> float:
-    """Bisection fallback around x for when the closed form lost precision."""
-    h = max(abs(x), 1.0) * 1e-6
-    lo, hi = x - h, x + h
-    flo, fhi = func(lo), func(hi)
-    for _ in range(60):
-        if flo * fhi <= 0.0:
-            break
-        h *= 2.0
-        lo, hi = x - h, x + h
-        flo, fhi = func(lo), func(hi)
-    else:
-        return x
-    return bisect(func, lo, hi)
-
-
 def turning_points(analysis: GapAnalysis) -> TurningPoints:
     """Roots of the gap, its slope, and its curvature, plus the gap level."""
     a, b, c, d = analysis.a, analysis.b, analysis.c, analysis.d
-
-    def scale(t: float) -> float:
-        return a * math.exp(b * t) + c * math.exp(d * t)
-
-    def representable(t: float) -> bool:
-        return max(b, d) * abs(t) < 700.0  # exp() stays in double range
-
     # the k-th derivative vanishes where a*b^k*e^{bt} = c*d^k*e^{dt}
-    roots = []
-    a_k, c_k = a, c
-    for k in range(3):
-        t = _gap_root(a_k, c=c_k, b=b, d=d)
-        if (representable(t)
-                and abs(gap_eval(analysis, t)[k]) > 1e-9 * scale(t)):
-            t = _refine(lambda x: gap_eval(analysis, x)[k], t)
-        roots.append(t)
-        a_k, c_k = a_k * b, c_k * d
-    t0, t1, t2 = roots
+    t0 = _gap_root(a, b, c, d)
+    t1 = _gap_root(a * b, b, c * d, d)
+    t2 = _gap_root(a * b * b, b, c * d * d, d)
     level = a * math.exp(b * t0) if b * t0 < 700.0 else math.inf
     return TurningPoints(t0=t0, t1=t1, t2=t2, level=level)
 

@@ -122,6 +122,13 @@ class TestShares:
         with pytest.raises(eb.MissingGdp):
             eb.gdp_share(dataset, "DE", 1970)
 
+    def test_missing_member_is_the_smallest(self, dataset):
+        # the smallest absent code is named, whatever the set's order
+        universe = eb.RegionDefinition("X", frozenset({"ZZ", "DE", "QQ",
+                                                       "XA", "XB"}))
+        with pytest.raises(eb.MissingGdp, match="^no GDP for QQ 1995$"):
+            eb.gdp_share(dataset, "DE", 1995, universe=universe)
+
 
 class TestAverageRate:
     def test_published_rates(self, dataset, regions):

@@ -253,6 +253,48 @@ class TestExitCodes:
         assert rc == 3
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_zero_gdp_is_rejected_at_load(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(BUNDLED_DATA, data)
+        text = (data / "gdp.csv").read_text()
+        row = next(line for line in text.split("\n")
+                   if line.startswith("DE,1995,"))
+        (data / "gdp.csv").write_text(text.replace(row, "DE,1995,0"))
+        rc = cli.main(["--data-dir", str(data), "--out", str(tmp_path),
+                       "report", "--table", "1"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == "error: GDP for DE 1995 is not positive: 0.0\n"
+
+    @pytest.mark.parametrize("files, table", (
+        (("gdp.csv",), "1"),
+        (("gdp.csv", "cab_pct.csv", "ggb.csv"), "7"),
+    ), ids=("balance-without-gdp", "share-without-gdp"))
+    def test_data_error_message_is_stable(self, tmp_path, files, table):
+        # four member-years lose their rows; set iteration order varies
+        # with the string hash seed, the message must not
+        data = tmp_path / "data"
+        shutil.copytree(BUNDLED_DATA, data)
+        for name in files:
+            lines = (data / name).read_text().split("\n")
+            (data / name).write_text("\n".join(
+                line for line in lines
+                if line[:8] not in ("BG,1995,", "CZ,1995,", "DK,1995,",
+                                    "HU,1995,")))
+        src = str(BUNDLED_DATA.parents[1])
+        errs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, (src, os.environ.get("PYTHONPATH")))))
+            proc = subprocess.run(
+                [sys.executable, "-m", "eubalance.cli", "--data-dir",
+                 str(data), "--out", str(tmp_path), "report", "--table",
+                 table], capture_output=True, text=True, env=env)
+            assert proc.returncode == 3
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1]
+
     @pytest.mark.parametrize("below", ("", "sub"))
     def test_out_in_a_file_is_config_error(self, tmp_path, capsys, below):
         taken = tmp_path / "taken"

@@ -168,6 +168,11 @@ class TestAssemble:
         with pytest.raises(eb.MissingGdp):
             eb.assemble([("DE", 2011, 2592.6)], [("FR", 2011, 0.01)], [])
 
+    def test_missing_gdp_names_the_smallest_key(self):
+        pct = [(code, 2011, 0.01) for code in ("UK", "FR", "AT", "NL")]
+        with pytest.raises(eb.MissingGdp, match=r"\('AT', 2011\)$"):
+            eb.assemble([("DE", 2011, 2592.6)], pct, [("SE", 2011, 1.0)])
+
     def test_duplicate_triples(self):
         with pytest.raises(eb.DuplicateKey):
             eb.assemble([("DE", 2011, 1.0), ("DE", 2011, 1.0)], [], [])

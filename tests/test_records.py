@@ -20,8 +20,9 @@ from eubalance.dataset import BASE_YEAR
 def _record_checks(self):
     if self.t != self.year - BASE_YEAR:
         raise ValueError(f"t={self.t} inconsistent with year={self.year}")
-    if self.gdp < 0:
-        raise ValueError(f"negative GDP for {self.country} {self.year}")
+    if not self.gdp > 0:
+        raise ValueError(f"GDP for {self.country} {self.year} is not "
+                         f"positive: {self.gdp!r}")
 
 
 def _region_checks(self):
@@ -200,7 +201,7 @@ class TestRecordDetails:
             with pytest.raises(ValueError, match=message):
                 make(s, d)
 
-    @pytest.mark.parametrize("t, gdp", ((3, 1.0), (5, -1.0)))
+    @pytest.mark.parametrize("t, gdp", ((3, 1.0), (5, -1.0), (5, 0.0)))
     def test_record_checks(self, t, gdp):
         for make in (eb.CountryYearRecord, _reference(eb.CountryYearRecord)):
             with pytest.raises(ValueError):

@@ -1,0 +1,62 @@
+"""Source hygiene of the package: no unused imports, no orphaned helpers."""
+import ast
+from pathlib import Path
+
+import eubalance
+
+PACKAGE = Path(eubalance.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _names(tree):
+    """Every identifier the tree reads, as a name, attribute or import."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_modules_found():
+    assert {p.stem for p in MODULES} >= {"dataset", "stability", "expfit"}
+
+
+def test_no_unused_import():
+    unused = []
+    for path in MODULES:
+        tree = _tree(path)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name).split(".")[0]
+                         for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in bound
+                       if name not in read]
+    assert unused == []
+
+
+def test_no_orphaned_private_definition():
+    trees = {path: _tree(path) for path in MODULES}
+    named = set().union(*map(_names, trees.values()),
+                        _names(_tree(PACKAGE / "__init__.py")))
+    orphans = [f"{path.name}: {node.name}"
+               for path, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")
+               and not node.name.startswith("__")
+               and node.name not in named]
+    assert orphans == []

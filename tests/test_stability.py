@@ -1,4 +1,5 @@
 """Gap roots, spacing, bands, uncertainty intervals, phase labels."""
+import decimal
 import math
 import random
 
@@ -122,6 +123,26 @@ class TestTurningPoints:
                     h *= 2.0
                 want = optimize.brentq(f, got - h, got + h, xtol=1e-15)
                 assert abs(got - want) <= 1e-9 * max(abs(want), 1.0)
+
+    def test_decimal_closed_form_reference(self):
+        # t_k = ln(a b^k / (c d^k)) / (d - b) at 60 digits from the exact
+        # float inputs; rates span six decades, and d - b can be a few ulps
+        rng = random.Random(20261018)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for _ in range(2000):
+                b = 10.0 ** rng.uniform(-3.0, 3.0)
+                d = b * (1.0 + 10.0 ** rng.uniform(-8.0, 1.0))
+                if rng.random() < 0.5:
+                    b, d = d, b
+                a = 10.0 ** rng.uniform(-5.0, 8.0)
+                c = 10.0 ** rng.uniform(-5.0, 8.0)
+                tp = eb.turning_points(_toy_analysis(a, b, c, d))
+                A, B, C, D = map(decimal.Decimal, (a, b, c, d))
+                for k, got in enumerate((tp.t0, tp.t1, tp.t2)):
+                    exact = (A * B ** k / (C * D ** k)).ln() / (D - B)
+                    bound = 8.0 * 2.0 ** -53 * (abs(got) + 1.0 / abs(d - b))
+                    assert abs(got - float(exact)) <= bound, (a, b, c, d, k)
 
     def test_no_intersection_for_equal_rates(self):
         with pytest.raises(eb.NoIntersection):
