@@ -1,9 +1,8 @@
 """Command-line interface: balance reports, curve fits, stability analysis.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data validation
-failure, 4 solver failure, 5 no curve intersection in range. Output files
-are written in both comma-separated and aligned-text form; runs with the
-same inputs produce byte-identical files.
+failure, 4 fit failure, 5 gap-analysis failure. Runs with the same inputs
+produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -65,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_config(parser: argparse.ArgumentParser,
                   args: argparse.Namespace) -> None:
     if args.data_dir is not None:
-        for name in ("gdp.csv", "cab_pct.csv", "ggb.csv"):
+        for name in dataset.INPUT_FILES:
             if not (args.data_dir / name).is_file():
                 parser.error(f"missing data file {args.data_dir / name}")
     if args.regions is not None and not args.regions.is_file():
@@ -73,42 +72,24 @@ def _check_config(parser: argparse.ArgumentParser,
     existing = next(p for p in (args.out, *args.out.parents) if p.exists())
     if not existing.is_dir():
         parser.error(f"--out {args.out}: {existing} is not a directory")
-    level = getattr(args, "level", None)
-    if level is not None and not 0.0 < level < 1.0:
-        parser.error(f"--level must lie in (0, 1), got {level}")
-    band = getattr(args, "band_level", None)
-    if band is not None and not 0.0 < band < 1.0:
-        parser.error(f"--band-level must lie in (0, 1), got {band}")
+    for flag in ("level", "band_level"):
+        value = getattr(args, flag, None)
+        if value is not None and not 0.0 < value < 1.0:
+            parser.error(f"--{flag.replace('_', '-')} must lie in (0, 1), "
+                         f"got {value}")
 
 
 def _load(args: argparse.Namespace):
     if args.data_dir is None:
         ds = dataset.load_bundled()
     else:
-        ds = dataset.load_files(args.data_dir / "gdp.csv",
-                                args.data_dir / "cab_pct.csv",
-                                args.data_dir / "ggb.csv")
+        ds = dataset.load_files(*(args.data_dir / name
+                                  for name in dataset.INPUT_FILES))
     if args.regions is None:
         regions = accounting.bundled_regions()
     else:
         regions = accounting.load_regions(args.regions)
     return ds, regions
-
-
-def _write(out_dir: Path, stem: str, table: reports.Table,
-           text_form: bool = True) -> list[Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    csv_path = out_dir / f"{stem}.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(reports.to_csv(table))
-    paths.append(csv_path)
-    if text_form:
-        txt_path = out_dir / f"{stem}.txt"
-        with open(txt_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(reports.to_text(table))
-        paths.append(txt_path)
-    return paths
 
 
 def _echo(args: argparse.Namespace, table: reports.Table) -> None:
@@ -122,30 +103,25 @@ def _echo(args: argparse.Namespace, table: reports.Table) -> None:
     sys.stdout.write(text)
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    ds, regions = _load(args)
-    table = reports.build_table(ds, regions, args.table)
-    _write(args.out, f"table_{args.table}", table)
-    _echo(args, table)
-    return EXIT_OK
+# Each command returns its tables as (file stem, table, is_report). A
+# report is written as .csv and .txt and echoed; plot data is written as
+# .csv only.
+def _cmd_report(args: argparse.Namespace, ds, regions):
+    return [(f"table_{args.table}",
+             reports.build_table(ds, regions, args.table), True)]
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    ds, regions = _load(args)
+def _cmd_fit(args: argparse.Namespace, ds, regions):
     points = reports.fit_series_points(ds, regions, args.series)
     model = expfit.fit_exponential(points)
     summary = reports.fit_summary_table(args.series, model, args.level)
     predictions = reports.prediction_table(args.series, model, points,
                                            args.level)
-    _write(args.out, f"fit_{args.series}_summary", summary)
-    _write(args.out, f"fit_{args.series}_predictions", predictions)
-    _echo(args, summary)
-    _echo(args, predictions)
-    return EXIT_OK
+    return [(f"fit_{args.series}_summary", summary, True),
+            (f"fit_{args.series}_predictions", predictions, True)]
 
 
-def _cmd_stability(args: argparse.Namespace) -> int:
-    ds, regions = _load(args)
+def _cmd_stability(args: argparse.Namespace, ds, regions):
     surplus_key, deficit_key = reports.STABILITY_SCOPES[args.scope]
     surplus_points = reports.fit_series_points(ds, regions, surplus_key)
     deficit_points = reports.fit_series_points(ds, regions, deficit_key)
@@ -156,10 +132,8 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     latest_t = max(t for t, _ in surplus_points)
     table = reports.stability_table(args.scope, analysis, interval, latest_t)
     plot = reports.plot_data_table(args.scope, analysis, args.band_level)
-    _write(args.out, f"stability_{args.scope}", table)
-    _write(args.out, f"plot_{args.scope}", plot, text_form=False)
-    _echo(args, table)
-    return EXIT_OK
+    return [(f"stability_{args.scope}", table, True),
+            (f"plot_{args.scope}", plot, False)]
 
 
 def main(argv=None) -> int:
@@ -169,11 +143,22 @@ def main(argv=None) -> int:
     handlers = {"report": _cmd_report, "fit": _cmd_fit,
                 "stability": _cmd_stability}
     try:
-        return handlers[args.command](args)
-    except (expfit.NoConvergence, expfit.SingularJacobian) as exc:
+        outputs = handlers[args.command](args, *_load(args))
+        args.out.mkdir(parents=True, exist_ok=True)
+        forms = {"csv": reports.to_csv, "txt": reports.to_text}
+        for stem, table, is_report in outputs:
+            for suffix in ("csv", "txt") if is_report else ("csv",):
+                with open(args.out / f"{stem}.{suffix}", "w",
+                          encoding="utf-8", newline="") as fh:
+                    fh.write(forms[suffix](table))
+        for _, table, is_report in outputs:
+            if is_report:
+                _echo(args, table)
+        return EXIT_OK
+    except expfit.FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (stability.NoIntersection, stability.RootNotBracketed) as exc:
+    except stability.StabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_INTERSECTION
     except (dataset.DatasetError, accounting.AccountingError,

@@ -18,6 +18,9 @@ BASE_YEAR = 1995
 
 PLAIN_CSV_HEADER = ("country", "year", "value")
 
+# The input file names, in the argument order of load_files.
+INPUT_FILES = ("gdp.csv", "cab_pct.csv", "ggb.csv")
+
 
 class DatasetError(Exception):
     """Base class for ingestion and assembly failures."""
@@ -289,5 +292,5 @@ def load_bundled() -> Dataset:
 
     data = files("eubalance").joinpath("data")
     parts = [parse_table(data.joinpath(name).read_text(encoding="utf-8"))
-             for name in ("gdp.csv", "cab_pct.csv", "ggb.csv")]
+             for name in INPUT_FILES]
     return assemble(*parts)

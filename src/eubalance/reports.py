@@ -125,20 +125,15 @@ def _region(regions: dict[str, RegionDefinition], name: str) -> RegionDefinition
 # Tables 1-12.
 
 def country_totals_table(dataset: Dataset) -> Table:
-    rows_by_code = {row.subject: row
-                    for row in accounting.totals_table(dataset,
-                                                       dataset.countries)}
-    ordered = sorted(rows_by_code, key=lambda c: COUNTRY_NAMES.get(c, c))
-    rows = []
-    for code in ordered:
-        r = rows_by_code[code]
-        rows.append((COUNTRY_NAMES.get(code, code),
-                     sig6(r.cab_total), str(r.rank_cab),
-                     sig6(r.ggb_total), str(r.rank_ggb),
-                     sig6(r.psb_total), str(r.rank_psb)))
-    cab = math.fsum(rows_by_code[c].cab_total for c in rows_by_code)
-    ggb = math.fsum(rows_by_code[c].ggb_total for c in rows_by_code)
-    psb = math.fsum(rows_by_code[c].psb_total for c in rows_by_code)
+    totals = sorted(accounting.totals_table(dataset, dataset.countries),
+                    key=lambda r: COUNTRY_NAMES.get(r.subject, r.subject))
+    rows = [(COUNTRY_NAMES.get(r.subject, r.subject),
+             sig6(r.cab_total), str(r.rank_cab),
+             sig6(r.ggb_total), str(r.rank_ggb),
+             sig6(r.psb_total), str(r.rank_psb)) for r in totals]
+    cab = math.fsum(r.cab_total for r in totals)
+    ggb = math.fsum(r.ggb_total for r in totals)
+    psb = math.fsum(r.psb_total for r in totals)
     rows.append(("EU27", sig6(cab), "", sig6(ggb), "", sig6(psb), ""))
     return Table("Country balance totals with ranks",
                  ("country", "cab_total", "rank", "ggb_total", "rank",

@@ -320,6 +320,15 @@ class TestExitCodes:
         rc = run(tmp_path, "fit", "--series", "eu9plus")
         assert rc == 4
 
+    def test_zero_uncorrected_total_is_exit_4(self, tmp_path, monkeypatch,
+                                              capsys):
+        def explode(model):
+            raise expfit.DegenerateTotal("forced")
+        monkeypatch.setattr(cli.expfit, "r_squared", explode)
+        rc = run(tmp_path, "fit", "--series", "eu9plus")
+        assert rc == 4
+        assert capsys.readouterr().err == "error: forced\n"
+
     def test_no_intersection_is_exit_5(self, tmp_path, monkeypatch):
         def explode(analysis, band_level):
             raise stability.RootNotBracketed("forced")
@@ -329,6 +338,25 @@ class TestExitCodes:
 
 
 class TestOutputHygiene:
+    # (argv, report stems, plot stems): a report is written as .csv and
+    # .txt and echoed, plot data is written as .csv only
+    @pytest.mark.parametrize("argv, stems, plots", [
+        (("report", "--table", "1"), ("table_1",), ()),
+        (("fit", "--series", "eu9plus"),
+         ("fit_eu9plus_summary", "fit_eu9plus_predictions"), ()),
+        (("stability", "--scope", "eu"), ("stability_eu",), ("plot_eu",)),
+    ])
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("csv", "csv")])
+    def test_emit_contract(self, tmp_path, capsys, argv, stems, plots, fmt,
+                           suffix):
+        out = tmp_path / "out"
+        assert cli.main(["--out", str(out), "--format", fmt, *argv]) == 0
+        want = [f"{s}.{x}" for s in stems for x in ("csv", "txt")]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            want + [f"{p}.csv" for p in plots])
+        assert capsys.readouterr().out == "".join(
+            read(out, f"{s}.{suffix}") for s in stems)
+
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -1,5 +1,6 @@
 """Regression numerics: quantiles, fits, ANOVA, prediction bands."""
 import math
+import random
 
 import pytest
 
@@ -170,6 +171,34 @@ class TestFitGoldens:
             theirs = _ssr(fit_points[key], alpha, beta)
             assert _ssr(fit_points[key], model.alpha, model.beta) <= \
                 theirs * (1.0 + 1e-12)
+
+
+class TestFitOracle:
+    """fit_exponential against scipy on seeded alpha * exp(beta * t) plus
+    Gaussian noise, t = 0..16, with the bundled oracle's bounds."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_least_squares_on_generated_series(self, seed):
+        np = pytest.importorskip("numpy")
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = random.Random(seed)
+        t = np.arange(17, dtype=float)
+        for _ in range(200):
+            alpha = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 3.0)
+            beta = rng.uniform(0.05, 0.35)
+            sigma = 0.05 * abs(alpha) * math.exp(8.0 * beta)
+            points = [(float(ti), alpha * math.exp(beta * ti)
+                       + rng.gauss(0.0, sigma)) for ti in t]
+            y = np.array([p[1] for p in points])
+            result = optimize.least_squares(
+                lambda p: p[0] * np.exp(p[1] * t) - y, (alpha, beta),
+                ftol=1e-15, xtol=1e-15, gtol=1e-15)
+            a, b = map(float, result.x)
+            model = eb.fit_exponential(points)
+            assert model.alpha == pytest.approx(a, rel=1e-6)
+            assert model.beta == pytest.approx(b, rel=1e-6)
+            assert _ssr(points, model.alpha, model.beta) <= \
+                _ssr(points, a, b) * (1.0 + 1e-12)
 
 
 class TestJacobian:

@@ -1,4 +1,5 @@
-"""Source hygiene of the package: no unused imports, no orphaned helpers."""
+"""Source hygiene of the package: no unused imports, no orphaned helpers,
+no public name that nothing reads."""
 import ast
 from pathlib import Path
 
@@ -16,9 +17,10 @@ def _names(tree):
     """Every identifier the tree reads, as a name, attribute or import."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
             out.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             out.update(alias.name for alias in node.names)
@@ -60,3 +62,27 @@ def test_no_orphaned_private_definition():
                and not node.name.startswith("__")
                and node.name not in named]
     assert orphans == []
+
+
+def _top_level_names(tree):
+    """Names a module defines at top level by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                yield from (sub.id for sub in ast.walk(target)
+                            if isinstance(sub, ast.Name))
+        elif isinstance(node, ast.AnnAssign):
+            yield node.target.id
+
+
+def test_every_public_name_is_read():
+    trees = {path: _tree(path) for path in MODULES}
+    named = set().union(*map(_names, trees.values()),
+                        _names(_tree(PACKAGE / "__init__.py")))
+    unread = [f"{path.name}: {name}"
+              for path, tree in trees.items()
+              for name in _top_level_names(tree)
+              if not name.startswith("_") and name not in named]
+    assert unread == []
