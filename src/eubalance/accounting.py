@@ -35,6 +35,10 @@ class DegenerateSpan(AccountingError):
     """An average rate needs at least two distinct time points."""
 
 
+class SumOverflow(AccountingError):
+    """A sum over a region's members overflows the float range."""
+
+
 class RegionDefinition(_Frozen):
     __slots__ = ("name", "members")
 
@@ -81,13 +85,17 @@ def region_series(dataset: Dataset, region: RegionDefinition, kind: str,
         raise EmptyIntersection(f"no {kind} data for region {region.name!r}")
     points = []
     running: list[float] = []
-    for year in sorted(by_year):
-        annual = math.fsum(by_year[year])
-        if mode == "annual":
-            points.append((year - BASE_YEAR, annual))
-        else:
-            running.append(annual)
-            points.append((year - BASE_YEAR, math.fsum(running)))
+    try:
+        for year in sorted(by_year):
+            annual = math.fsum(by_year[year])
+            if mode == "annual":
+                points.append((year - BASE_YEAR, annual))
+            else:
+                running.append(annual)
+                points.append((year - BASE_YEAR, math.fsum(running)))
+    except OverflowError:
+        raise SumOverflow(f"{mode} {kind} sum for region {region.name!r} "
+                          f"overflows in {year}") from None
     return BalanceSeries(region.name, kind, mode, tuple(points))
 
 
@@ -129,10 +137,12 @@ def totals_table(dataset: Dataset,
 def gdp_share(dataset: Dataset, subject, year: int,
               universe: RegionDefinition | None = None) -> float:
     """Share of the universe's GDP (default: all countries in the dataset)."""
-    members = dataset.countries if universe is None else universe.members
-    denom = _gdp_sum(dataset, members, year)
+    if universe is None:
+        denom = _gdp_sum(dataset, dataset.countries, year)
+    else:
+        denom = _gdp_sum(dataset, universe.members, year, universe.name)
     if isinstance(subject, RegionDefinition):
-        num = _gdp_sum(dataset, subject.members, year)
+        num = _gdp_sum(dataset, subject.members, year, subject.name)
     else:
         rec = dataset.get(subject, year)
         if rec is None:
@@ -141,7 +151,9 @@ def gdp_share(dataset: Dataset, subject, year: int,
     return num / denom
 
 
-def _gdp_sum(dataset: Dataset, members: Iterable[str], year: int) -> float:
+def _gdp_sum(dataset: Dataset, members: Iterable[str], year: int,
+             region: str | None = None) -> float:
+    """GDP summed over members; region None stands for all countries."""
     values = []
     for country in members:
         rec = dataset.get(country, year)
@@ -149,7 +161,11 @@ def _gdp_sum(dataset: Dataset, members: Iterable[str], year: int) -> float:
             missing = min(c for c in members if dataset.get(c, year) is None)
             raise MissingGdp(f"no GDP for {missing} {year}")
         values.append(rec.gdp)
-    return math.fsum(values)
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        scope = "all countries" if region is None else f"region {region!r}"
+        raise SumOverflow(f"GDP sum for {scope} overflows in {year}") from None
 
 
 def average_rate(series: Sequence[tuple[float, float]]) -> float:

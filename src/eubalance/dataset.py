@@ -10,6 +10,7 @@ difference between the current-account and government balances.
 """
 from __future__ import annotations
 
+import gc
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from types import MappingProxyType
@@ -114,15 +115,21 @@ class CountryYearRecord(_Frozen):
         if not gdp > 0:
             raise ValueError(f"GDP for {country} {year} is not positive: "
                              f"{gdp!r}")
-        put = object.__setattr__
-        put(self, "country", country)
-        put(self, "year", year)
-        put(self, "t", t)
-        put(self, "gdp", gdp)
-        put(self, "cab_pct", cab_pct)
-        put(self, "cab_eur", cab_eur)
-        put(self, "ggb_eur", ggb_eur)
-        put(self, "psb_eur", psb_eur)
+        _set_country(self, country)
+        _set_year(self, year)
+        _set_t(self, t)
+        _set_gdp(self, gdp)
+        _set_cab_pct(self, cab_pct)
+        _set_cab_eur(self, cab_eur)
+        _set_ggb_eur(self, ggb_eur)
+        _set_psb_eur(self, psb_eur)
+
+
+# The slot descriptors' setters, bound once: a record fills its slots
+# without looking each one up by name or passing the frozen __setattr__.
+(_set_country, _set_year, _set_t, _set_gdp, _set_cab_pct, _set_cab_eur,
+ _set_ggb_eur, _set_psb_eur) = (vars(CountryYearRecord)[name].__set__
+                                for name in CountryYearRecord.__slots__)
 
 
 class Dataset:
@@ -279,11 +286,7 @@ def to_plain_csv(dataset: Dataset, value_role: str) -> str:
 
 def load_files(gdp_path, cab_pct_path, ggb_path) -> Dataset:
     """Assemble a dataset from three plain-csv files."""
-    parts = []
-    for path in (gdp_path, cab_pct_path, ggb_path):
-        with open(path, encoding="utf-8", newline="") as fh:
-            parts.append(parse_table(fh.read()))
-    return assemble(*parts)
+    return _load(_read_file, (gdp_path, cab_pct_path, ggb_path))
 
 
 def load_bundled() -> Dataset:
@@ -291,6 +294,29 @@ def load_bundled() -> Dataset:
     from importlib.resources import files
 
     data = files("eubalance").joinpath("data")
-    parts = [parse_table(data.joinpath(name).read_text(encoding="utf-8"))
-             for name in INPUT_FILES]
-    return assemble(*parts)
+    return _load(lambda name: data.joinpath(name).read_text(encoding="utf-8"),
+                 INPUT_FILES)
+
+
+def _read_file(path) -> str:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
+def _load(read, sources) -> Dataset:
+    """Read and parse each source in turn, then assemble them, with the
+    cyclic collector paused.
+
+    A load builds only acyclic objects (tuples, dicts and records of
+    atoms), which reference counting frees, so the collector could only
+    traverse them. The caller's collector state is restored, enabled or
+    disabled. One raw text is alive at a time.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        parts = [parse_table(read(source)) for source in sources]
+        return assemble(*parts)
+    finally:
+        if enabled:
+            gc.enable()

@@ -66,6 +66,28 @@ class TestRegionSeries:
         with pytest.raises(eb.EmptyIntersection):
             region_series(ds, region, "CAB")
 
+    def test_overflowing_sums_name_region_kind_and_year(self):
+        # each year fits a float; the running sum does not
+        ds = eb.assemble([("DE", 1995, 1e308), ("DE", 1996, 1e308),
+                          ("FR", 1996, 1e308)], [], [])
+        de = RegionDefinition("DE only", frozenset({"DE"}))
+        assert region_series(ds, de, "GDP").points == ((0, 1e308),
+                                                       (1, 1e308))
+        with pytest.raises(eb.AccountingError, match=(
+                r"^cumulative GDP sum for region 'DE only' overflows "
+                r"in 1996$")):
+            region_series(ds, de, "GDP", "cumulative")
+        both = RegionDefinition("pair", frozenset({"DE", "FR"}))
+        with pytest.raises(eb.AccountingError, match=(
+                r"^annual GDP sum for region 'pair' overflows in 1996$")):
+            region_series(ds, both, "GDP")
+        with pytest.raises(eb.AccountingError, match=(
+                r"^GDP sum for all countries overflows in 1996$")):
+            eb.gdp_share(ds, "DE", 1996)
+        with pytest.raises(eb.AccountingError, match=(
+                r"^GDP sum for region 'pair' overflows in 1996$")):
+            eb.gdp_share(ds, de, 1996, universe=both)
+
     def test_unknown_kind_and_mode(self, dataset, regions):
         with pytest.raises(ValueError):
             region_series(dataset, regions["EU27"], "NIIP")

@@ -253,6 +253,24 @@ class TestExitCodes:
         assert rc == 3
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("table, message", (
+        ("5", "GDP sum for all countries overflows in 1995"),
+        ("6", "annual GDP sum for region 'EU9+' overflows in 1995"),
+    ), ids=("table-5", "table-6"))
+    def test_region_sum_overflow_is_named(self, tmp_path, capsys, table,
+                                          message):
+        data = tmp_path / "data"
+        shutil.copytree(BUNDLED_DATA, data)
+        lines = (data / "gdp.csv").read_text().split("\n")
+        (data / "gdp.csv").write_text("\n".join(
+            f"{line[:2]},1995,1.5e308"
+            if line[:8] in ("DE,1995,", "FR,1995,") else line
+            for line in lines))
+        rc = cli.main(["--data-dir", str(data), "--out", str(tmp_path),
+                       "report", "--table", table])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_zero_gdp_is_rejected_at_load(self, tmp_path, capsys):
         data = tmp_path / "data"
         shutil.copytree(BUNDLED_DATA, data)

@@ -1,12 +1,18 @@
-"""CSV parsing, assembly rules, and bundled-data coverage."""
+"""CSV parsing, assembly rules, load paths, and bundled-data coverage."""
+import contextlib
 import dataclasses
+import gc
 import io
 import math
+from pathlib import Path
 
 import pytest
 
 import eubalance as eb
-from eubalance.dataset import parse_table
+from eubalance import dataset as dataset_mod
+from eubalance.dataset import INPUT_FILES, parse_table
+
+BUNDLED_DATA = Path(eb.__file__).parent / "data"
 
 
 def _reference_parse_table(raw_text):
@@ -254,3 +260,95 @@ class TestBundled:
         # stored fraction carries more precision than the one-decimal
         # percent it is published at; it must sit inside that window
         assert abs(dataset.get("DE", 1995).cab_pct - -0.012) <= 5e-7
+
+
+@contextlib.contextmanager
+def _collector(enabled):
+    """Run the body with the cyclic collector on or off, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _fields(rec):
+    return tuple(getattr(rec, name) for name in eb.CountryYearRecord.__slots__)
+
+
+class TestLoadPath:
+    @pytest.fixture
+    def gc_seen(self, monkeypatch):
+        """The collector state inside each parse_table and assemble call."""
+        seen = []
+        parse, build = dataset_mod.parse_table, dataset_mod.assemble
+
+        def parse_probe(text):
+            seen.append(("parse", gc.isenabled()))
+            return parse(text)
+
+        def build_probe(*parts):
+            seen.append(("assemble", gc.isenabled()))
+            return build(*parts)
+
+        monkeypatch.setattr(dataset_mod, "parse_table", parse_probe)
+        monkeypatch.setattr(dataset_mod, "assemble", build_probe)
+        return seen
+
+    @pytest.mark.parametrize("load", (
+        lambda: eb.load_files(*(BUNDLED_DATA / n for n in INPUT_FILES)),
+        eb.load_bundled,
+    ), ids=("load_files", "load_bundled"))
+    def test_collector_paused_during_load(self, gc_seen, load):
+        with _collector(True):
+            assert len(load()) == 459
+            assert gc.isenabled()
+        assert gc_seen == [("parse", False)] * 3 + [("assemble", False)]
+
+    def test_collector_restored_after_a_failed_load(self, tmp_path):
+        paths = [tmp_path / n for n in INPUT_FILES]
+        for path in paths:
+            path.write_text("country,year,value\n", encoding="utf-8")
+        with _collector(True):
+            paths[0].write_text("land,jahr,wert\n", encoding="utf-8")
+            with pytest.raises(eb.MalformedHeader):
+                eb.load_files(*paths)
+            assert gc.isenabled()
+            paths[0].write_text("country,year,value\n", encoding="utf-8")
+            paths[2].write_text("country,year,value\nDE,2000,1.0\n",
+                                encoding="utf-8")
+            with pytest.raises(eb.MissingGdp):
+                eb.load_files(*paths)
+            assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self):
+        with _collector(False):
+            eb.load_files(*(BUNDLED_DATA / n for n in INPUT_FILES))
+            assert not gc.isenabled()
+            eb.load_bundled()
+            assert not gc.isenabled()
+
+    def test_records_do_not_depend_on_the_load_path(self, tmp_path):
+        # the bundled tables three times over, under suffixed codes
+        texts = []
+        for name in INPUT_FILES:
+            header, _, body = (BUNDLED_DATA / name).read_text(
+                encoding="utf-8").partition("\n")
+            rows = [line.split(",", 1) for line in body.split("\n") if line]
+            texts.append("\n".join([header] + [
+                f"{code}{copy},{rest}" for copy in range(3)
+                for code, rest in rows]) + "\n")
+            (tmp_path / name).write_text(texts[-1], encoding="utf-8")
+        loaded = eb.load_files(*(tmp_path / n for n in INPUT_FILES))
+        direct = eb.assemble(*(parse_table(text) for text in texts))
+        assert len(loaded) == 3 * 459
+        assert [_fields(r) for r in loaded] == [_fields(r) for r in direct]
+        assert sum(f is None for r in loaded for f in _fields(r)) > 0
+        again = tmp_path / "again"
+        again.mkdir()
+        for name, role in zip(INPUT_FILES, ("gdp", "cab_pct", "ggb")):
+            (again / name).write_text(eb.to_plain_csv(loaded, role),
+                                      encoding="utf-8")
+        reloaded = eb.load_files(*(again / n for n in INPUT_FILES))
+        assert [_fields(r) for r in reloaded] == [_fields(r) for r in loaded]
