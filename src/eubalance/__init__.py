@@ -19,22 +19,18 @@ from .dataset import (
     load_bundled,
     load_files,
     parse_table,
-    to_plain_csv,
 )
 from .accounting import (
     AccountingError,
     BalanceSeries,
     DegenerateSpan,
     EmptyIntersection,
-    NotSubset,
     RegionDefinition,
     TotalsRow,
     average_rate,
     bundled_regions,
-    complement,
     gdp_share,
     load_regions,
-    psb,
     region_series,
     region_total,
     totals_table,

@@ -1,4 +1,4 @@
-"""Balance identity, region aggregation, ranked totals, shares, rates.
+"""Region aggregation, ranked totals, GDP shares, average rates.
 
 Regions are plain sets of country codes. All aggregation follows the
 additive sum rule: a region's balance is the algebraic sum of its members'
@@ -27,10 +27,6 @@ class EmptyIntersection(AccountingError):
     """No member of the region has any data of the requested kind."""
 
 
-class NotSubset(AccountingError):
-    """Complement requested against a universe that does not contain the region."""
-
-
 class DegenerateSpan(AccountingError):
     """An average rate needs at least two distinct time points."""
 
@@ -55,11 +51,6 @@ class BalanceSeries(_Frozen):
 class TotalsRow(_Frozen):
     __slots__ = ("subject", "cab_total", "ggb_total", "psb_total",
                  "rank_cab", "rank_ggb", "rank_psb")
-
-
-def psb(cab: float, ggb: float) -> float:
-    """Private sector balance from the account identity CAB = GGB + PSB."""
-    return cab - ggb
 
 
 def region_series(dataset: Dataset, region: RegionDefinition, kind: str,
@@ -134,15 +125,15 @@ def totals_table(dataset: Dataset,
             for c in countries]
 
 
-def gdp_share(dataset: Dataset, subject, year: int,
-              universe: RegionDefinition | None = None) -> float:
-    """Share of the universe's GDP (default: all countries in the dataset)."""
-    if universe is None:
-        denom = _gdp_sum(dataset, dataset.countries, year)
-    else:
-        denom = _gdp_sum(dataset, universe.members, year, universe.name)
+def gdp_share(dataset: Dataset, subject, year: int) -> float:
+    """A country's or region's share of the GDP of all countries.
+
+    GDPs are positive and summed over all countries first, so only that
+    sum can overflow: a region whose members are not all there raises
+    MissingGdp."""
+    denom = _gdp_sum(dataset, dataset.countries, year)
     if isinstance(subject, RegionDefinition):
-        num = _gdp_sum(dataset, subject.members, year, subject.name)
+        num = _gdp_sum(dataset, subject.members, year)
     else:
         rec = dataset.get(subject, year)
         if rec is None:
@@ -151,9 +142,7 @@ def gdp_share(dataset: Dataset, subject, year: int,
     return num / denom
 
 
-def _gdp_sum(dataset: Dataset, members: Iterable[str], year: int,
-             region: str | None = None) -> float:
-    """GDP summed over members; region None stands for all countries."""
+def _gdp_sum(dataset: Dataset, members: Iterable[str], year: int) -> float:
     values = []
     for country in members:
         rec = dataset.get(country, year)
@@ -164,8 +153,8 @@ def _gdp_sum(dataset: Dataset, members: Iterable[str], year: int,
     try:
         return math.fsum(values)
     except OverflowError:
-        scope = "all countries" if region is None else f"region {region!r}"
-        raise SumOverflow(f"GDP sum for {scope} overflows in {year}") from None
+        raise SumOverflow(f"GDP sum for all countries overflows "
+                          f"in {year}") from None
 
 
 def average_rate(series: Sequence[tuple[float, float]]) -> float:
@@ -176,15 +165,6 @@ def average_rate(series: Sequence[tuple[float, float]]) -> float:
     if t1 == t0:
         raise DegenerateSpan("zero time span")
     return (v1 - v0) / (t1 - t0)
-
-
-def complement(region: RegionDefinition,
-               universe: RegionDefinition) -> RegionDefinition:
-    """Set difference universe minus region, as a new region."""
-    if not region.members <= universe.members:
-        raise NotSubset(f"{region.name!r} is not contained in {universe.name!r}")
-    return RegionDefinition(f"{universe.name} minus {region.name}",
-                            universe.members - region.members)
 
 
 def load_regions(path) -> dict[str, RegionDefinition]:

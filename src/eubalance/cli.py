@@ -34,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (default: current directory)")
     parser.add_argument("--format", choices=("csv", "text"), default="text",
-                        help="rendering echoed to stdout (files always get "
-                             "both forms)")
+                        help="rendering echoed to stdout (report files get "
+                             "both forms, plot data .csv only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_report = sub.add_parser("report", help="emit one of the tables 1-12")
@@ -92,15 +92,14 @@ def _load(args: argparse.Namespace):
     return ds, regions
 
 
-def _echo(args: argparse.Namespace, table: reports.Table) -> None:
-    if args.format == "csv":
-        sys.stdout.write(reports.to_csv(table))
-        return
-    text = reports.to_text(table)
-    if sys.stdout.isatty() and not os.environ.get("NO_COLOR"):
-        first, rest = text.split("\n", 1)
-        text = f"\x1b[1m{first}\x1b[0m\n{rest}"
-    sys.stdout.write(text)
+def _fit(ds, regions, series_key: str):
+    """The points of one fit series and the model fitted to them."""
+    points = reports.fit_series_points(ds, regions, series_key)
+    try:
+        return points, expfit.fit_exponential(points)
+    except OverflowError:
+        raise OverflowError(f"fit of series {series_key} overflows the "
+                            f"float range") from None
 
 
 # Each command returns its tables as (file stem, table, is_report). A
@@ -112,8 +111,7 @@ def _cmd_report(args: argparse.Namespace, ds, regions):
 
 
 def _cmd_fit(args: argparse.Namespace, ds, regions):
-    points = reports.fit_series_points(ds, regions, args.series)
-    model = expfit.fit_exponential(points)
+    points, model = _fit(ds, regions, args.series)
     summary = reports.fit_summary_table(args.series, model, args.level)
     predictions = reports.prediction_table(args.series, model, points,
                                            args.level)
@@ -123,11 +121,10 @@ def _cmd_fit(args: argparse.Namespace, ds, regions):
 
 def _cmd_stability(args: argparse.Namespace, ds, regions):
     surplus_key, deficit_key = reports.STABILITY_SCOPES[args.scope]
-    surplus_points = reports.fit_series_points(ds, regions, surplus_key)
-    deficit_points = reports.fit_series_points(ds, regions, deficit_key)
-    analysis = stability.GapAnalysis(
-        surplus_model=expfit.fit_exponential(surplus_points),
-        deficit_model=expfit.fit_exponential(deficit_points))
+    surplus_points, surplus_model = _fit(ds, regions, surplus_key)
+    _, deficit_model = _fit(ds, regions, deficit_key)
+    analysis = stability.GapAnalysis(surplus_model=surplus_model,
+                                     deficit_model=deficit_model)
     interval = stability.uncertainty_interval(analysis, args.band_level)
     latest_t = max(t for t, _ in surplus_points)
     table = reports.stability_table(args.scope, analysis, interval, latest_t)
@@ -146,14 +143,21 @@ def main(argv=None) -> int:
         outputs = handlers[args.command](args, *_load(args))
         args.out.mkdir(parents=True, exist_ok=True)
         forms = {"csv": reports.to_csv, "txt": reports.to_text}
+        echoed = "csv" if args.format == "csv" else "txt"
+        echoes = []
         for stem, table, is_report in outputs:
             for suffix in ("csv", "txt") if is_report else ("csv",):
+                text = forms[suffix](table)
                 with open(args.out / f"{stem}.{suffix}", "w",
                           encoding="utf-8", newline="") as fh:
-                    fh.write(forms[suffix](table))
-        for _, table, is_report in outputs:
-            if is_report:
-                _echo(args, table)
+                    fh.write(text)
+                if is_report and suffix == echoed:
+                    echoes.append(text)
+        if (echoed == "txt" and sys.stdout.isatty()
+                and not os.environ.get("NO_COLOR")):  # bold titles
+            echoes = ["\x1b[1m" + text.replace("\n", "\x1b[0m\n", 1)
+                      for text in echoes]
+        sys.stdout.write("".join(echoes))
         return EXIT_OK
     except expfit.FitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -176,14 +176,16 @@ class Dataset:
 def parse_table(raw_text: str) -> list[tuple[str, int, float]]:
     """Parse one plain-CSV table into (country, year, value) triples.
 
-    The body is converted column by column; on any anomaly the line loop
-    (:func:`_parse_lines`) runs instead, so the first bad line raises.
+    The body is converted column by column; on any anomaly
+    :func:`_raise_first_bad_line` raises the first bad line's error.
     """
     header, _, body = raw_text.partition("\n")
     header = header.strip()
     if tuple(h.strip() for h in header.split(",")) != PLAIN_CSV_HEADER:
         raise MalformedHeader(f"expected header 'country,year,value', got {header!r}")
     lines = list(filter(None, map(str.strip, body.split("\n"))))
+    if not lines:
+        return []
     # Joined with ",\n", a newline can only open a cell, so if the cells
     # at 3, 6, ... hold all n - 1 newlines, every line has three fields.
     cells = ",\n".join(lines).split(",")
@@ -199,12 +201,12 @@ def parse_table(raw_text: str) -> list[tuple[str, int, float]]:
             if (all(map(math.isfinite, values))
                     and len(set(zip(countries, years))) == len(lines)):
                 return list(zip(countries, years, values))
-    return _parse_lines(body)
+    _raise_first_bad_line(body)
 
 
-def _parse_lines(body: str) -> list[tuple[str, int, float]]:
-    """Line-by-line parse of a table body (line 2 onwards)."""
-    triples: list[tuple[str, int, float]] = []
+def _raise_first_bad_line(body: str) -> None:
+    """Raise the error of the first bad line of a body (line 2 onwards)
+    that the column path rejected: one of these checks always fails."""
     seen: set[tuple[str, int]] = set()
     for lineno, ln in enumerate(body.split("\n"), start=2):
         ln = ln.strip()
@@ -224,8 +226,6 @@ def _parse_lines(body: str) -> list[tuple[str, int, float]]:
         if (country, year) in seen:
             raise DuplicateKey(f"duplicate row for {country} {year}")
         seen.add((country, year))
-        triples.append((country, year, value))
-    return triples
 
 
 def assemble(gdp_triples: Iterable[tuple[str, int, float]],
@@ -267,21 +267,6 @@ def _unique(triples: Iterable[tuple[str, int, float]],
                 raise DuplicateKey(f"duplicate {role} triple for {key}")
             seen.add(key)
     return out
-
-
-def to_plain_csv(dataset: Dataset, value_role: str) -> str:
-    """Serialize one field of a dataset back to the plain-csv dialect.
-
-    Values are rendered with repr (shortest float round-trip), so parsing
-    the output reproduces the records bit for bit.
-    """
-    field = {"gdp": "gdp", "cab_pct": "cab_pct", "ggb": "ggb_eur"}[value_role]
-    lines = ["country,year,value"]
-    for rec in dataset:
-        value = getattr(rec, field)
-        if value is not None:
-            lines.append(f"{rec.country},{rec.year},{value!r}")
-    return "\n".join(lines) + "\n"
 
 
 def load_files(gdp_path, cab_pct_path, ggb_path) -> Dataset:

@@ -253,6 +253,24 @@ class TestExitCodes:
         assert rc == 3
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", (
+        ("fit", "--series", "eu9plus"), ("stability", "--scope", "eu"),
+    ), ids=("fit", "stability"))
+    def test_fit_overflow_names_the_series(self, tmp_path, capsys, argv):
+        # the EU9+ sums fit a float; the fit's squares do not
+        data = tmp_path / "data"
+        shutil.copytree(BUNDLED_DATA, data)
+        lines = (data / "gdp.csv").read_text().split("\n")
+        (data / "gdp.csv").write_text("\n".join(
+            f"{line[:2]},1995,1.5e308"
+            if line[:8] in ("DE,1995,", "FR,1995,") else line
+            for line in lines))
+        rc = cli.main(["--data-dir", str(data), "--out", str(tmp_path),
+                       *argv])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: fit of series eu9plus overflows the float range\n")
+
     @pytest.mark.parametrize("table, message", (
         ("5", "GDP sum for all countries overflows in 1995"),
         ("6", "annual GDP sum for region 'EU9+' overflows in 1995"),
@@ -374,6 +392,36 @@ class TestOutputHygiene:
             want + [f"{p}.csv" for p in plots])
         assert capsys.readouterr().out == "".join(
             read(out, f"{s}.{suffix}") for s in stems)
+
+    @pytest.mark.parametrize("argv, csv_calls, text_calls", [
+        (("report", "--table", "1"), 1, 1),
+        (("fit", "--series", "eu9plus"), 2, 2),
+        (("stability", "--scope", "eu"), 2, 1),
+    ], ids=("report", "fit", "stability"))
+    @pytest.mark.parametrize("fmt", ("text", "csv"))
+    def test_each_form_is_rendered_once(self, tmp_path, monkeypatch, capsys,
+                                        argv, csv_calls, text_calls, fmt):
+        # the echo reuses the string written to the file
+        calls = []
+        for name in ("to_csv", "to_text"):
+            render = getattr(reports, name)
+            monkeypatch.setattr(reports, name,
+                                lambda table, name=name, render=render:
+                                calls.append(name) or render(table))
+        assert run(tmp_path, "--format", fmt, *argv) == 0
+        assert (calls.count("to_csv"), calls.count("to_text")) == (
+            csv_calls, text_calls)
+
+    def test_tty_titles_are_bold(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        run(tmp_path, "fit", "--series", "eu9plus")
+        out = capsys.readouterr().out
+        want = ""
+        for stem in ("fit_eu9plus_summary", "fit_eu9plus_predictions"):
+            title, rest = read(tmp_path, f"{stem}.txt").split("\n", 1)
+            want += f"\x1b[1m{title}\x1b[0m\n{rest}"
+        assert out == want
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

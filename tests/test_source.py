@@ -1,5 +1,6 @@
 """Source hygiene of the package: no unused imports, no orphaned helpers,
-no public name that nothing reads."""
+no public name that no module reads (a re-export in __init__.py is not a
+read)."""
 import ast
 from pathlib import Path
 
@@ -77,12 +78,25 @@ def _top_level_names(tree):
             yield node.target.id
 
 
+# Public names that no module reads but that are kept, with the reason.
+UNREAD_BUT_KEPT = {
+    # reproduces the paper's published average rates
+    # (tests/golden_values.py AVERAGE_RATES)
+    "average_rate",
+    # perfbench/spans.py wraps it by name; Recorder.install fails
+    # without it
+    "gap_eval",
+}
+
+
 def test_every_public_name_is_read():
+    # __init__.py is left out: re-exporting a name is not a use of it
     trees = {path: _tree(path) for path in MODULES}
-    named = set().union(*map(_names, trees.values()),
-                        _names(_tree(PACKAGE / "__init__.py")))
+    named = set().union(*map(_names, trees.values()))
     unread = [f"{path.name}: {name}"
               for path, tree in trees.items()
               for name in _top_level_names(tree)
-              if not name.startswith("_") and name not in named]
+              if not name.startswith("_") and name not in named
+              and name not in UNREAD_BUT_KEPT]
     assert unread == []
+    assert not UNREAD_BUT_KEPT & named  # a kept name that is read now

@@ -9,7 +9,9 @@ for one seed at the benchmark's ``run_seconds``:
 The file, written at the root of this checkout, holds each run's JSON
 result line with the commit and ``src`` sha256 that run.py reported for
 it. The sha256 identifies the measured source even when the file is
-committed after the commit it names.
+committed after the commit it names. A ``src`` with uncommitted changes
+is refused before any run, so a file never names a commit whose source
+it did not measure.
 """
 from __future__ import annotations
 
@@ -36,10 +38,24 @@ def run(workload: str, seed: int, seconds: int, trace: int) -> dict:
     return {"workload": workload, "trace": trace, "env": env, **line}
 
 
+def dirty_src() -> list[str]:
+    """``git status --porcelain`` lines for changed or untracked ``src``
+    paths."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--", "src"],
+                          cwd=ROOT, stdout=subprocess.PIPE, text=True,
+                          check=True)
+    return proc.stdout.splitlines()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
+    dirty = dirty_src()
+    if dirty:
+        print("error: src has uncommitted changes; commit them first:",
+              *dirty, sep="\n  ", file=sys.stderr)
+        return 1
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
     runs = []
