@@ -170,10 +170,22 @@ def average_rate(series: Sequence[tuple[float, float]]) -> float:
 def load_regions(path) -> dict[str, RegionDefinition]:
     """Region definitions from a JSON object mapping name to code list."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except RecursionError:
-            raise ValueError("regions file is nested too deeply") from None
+        return _regions(fh.read())
+
+
+def bundled_regions() -> dict[str, RegionDefinition]:
+    """The packaged region groupings."""
+    from importlib.resources import files
+
+    return _regions(files("eubalance").joinpath("data/regions.json")
+                    .read_text(encoding="utf-8"))
+
+
+def _regions(text: str) -> dict[str, RegionDefinition]:
+    try:
+        raw = json.loads(text)
+    except RecursionError:
+        raise ValueError("regions file is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError("regions file must be a JSON object")
     out = {}
@@ -183,13 +195,3 @@ def load_regions(path) -> dict[str, RegionDefinition]:
             raise ValueError(f"region {name!r} must map to a list of codes")
         out[name] = RegionDefinition(name, frozenset(codes))
     return out
-
-
-def bundled_regions() -> dict[str, RegionDefinition]:
-    """The packaged region groupings."""
-    from importlib.resources import files
-
-    raw = json.loads(files("eubalance").joinpath("data/regions.json")
-                     .read_text(encoding="utf-8"))
-    return {name: RegionDefinition(name, frozenset(codes))
-            for name, codes in raw.items()}

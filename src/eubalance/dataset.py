@@ -1,8 +1,8 @@
 """Ingestion of country-year balance tables.
 
-Each input table is a plain CSV with header ``country,year,value``; parsed
-triples are combined into an immutable :class:`Dataset` of
-:class:`CountryYearRecord`.
+Each input table is a plain CSV with header ``country,year,value``, parsed
+into a {(country, year): value} mapping; the three mappings are combined
+into an immutable :class:`Dataset` of :class:`CountryYearRecord`.
 
 Current-account values arrive as fractions of GDP and are converted to
 billion EUR on assembly; the private-sector balance is derived as the
@@ -173,8 +173,8 @@ class Dataset:
         return len(self._records)
 
 
-def parse_table(raw_text: str) -> list[tuple[str, int, float]]:
-    """Parse one plain-CSV table into (country, year, value) triples.
+def parse_table(raw_text: str) -> dict[tuple[str, int], float]:
+    """Parse one plain-CSV table into a {(country, year): value} mapping.
 
     The body is converted column by column; on any anomaly
     :func:`_raise_first_bad_line` raises the first bad line's error.
@@ -185,7 +185,7 @@ def parse_table(raw_text: str) -> list[tuple[str, int, float]]:
         raise MalformedHeader(f"expected header 'country,year,value', got {header!r}")
     lines = list(filter(None, map(str.strip, body.split("\n"))))
     if not lines:
-        return []
+        return {}
     # Joined with ",\n", a newline can only open a cell, so if the cells
     # at 3, 6, ... hold all n - 1 newlines, every line has three fields.
     cells = ",\n".join(lines).split(",")
@@ -198,9 +198,9 @@ def parse_table(raw_text: str) -> list[tuple[str, int, float]]:
         except ValueError:
             pass
         else:
-            if (all(map(math.isfinite, values))
-                    and len(set(zip(countries, years))) == len(lines)):
-                return list(zip(countries, years, values))
+            table = dict(zip(zip(countries, years), values))
+            if all(map(math.isfinite, values)) and len(table) == len(lines):
+                return table
     _raise_first_bad_line(body)
 
 
@@ -228,45 +228,28 @@ def _raise_first_bad_line(body: str) -> None:
         seen.add((country, year))
 
 
-def assemble(gdp_triples: Iterable[tuple[str, int, float]],
-             cab_pct_triples: Iterable[tuple[str, int, float]],
-             ggb_triples: Iterable[tuple[str, int, float]]) -> Dataset:
-    """Combine the three roles into records.
+def assemble(gdp: Mapping[tuple[str, int], float],
+             cab_pct: Mapping[tuple[str, int], float],
+             ggb: Mapping[tuple[str, int], float]) -> Dataset:
+    """Combine the three {(country, year): value} mappings into records.
 
     cab_eur = cab_pct * gdp; psb_eur = cab_eur - ggb_eur where both exist.
     Every (country, year) carrying a balance must also carry GDP.
     """
-    gdp = _unique(gdp_triples, "gdp")
-    pct = _unique(cab_pct_triples, "cab_pct")
-    ggb = _unique(ggb_triples, "ggb")
-    missing = (pct.keys() | ggb.keys()) - gdp.keys()
+    missing = (cab_pct.keys() | ggb.keys()) - gdp.keys()
     if missing:
         raise MissingGdp(f"balance present without GDP for {min(missing)}")
     records = []
     for key in sorted(gdp):
         country, year = key
         g = gdp[key]
-        p = pct.get(key)
+        p = cab_pct.get(key)
         b = ggb.get(key)
         cab = None if p is None else p * g
         psb = None if (cab is None or b is None) else cab - b
         records.append(CountryYearRecord(country, year, year - BASE_YEAR, g,
                                          p, cab, b, psb))
     return Dataset(records)
-
-
-def _unique(triples: Iterable[tuple[str, int, float]],
-            role: str) -> dict[tuple[str, int], float]:
-    triples = list(triples)
-    out = {(country, year): value for country, year, value in triples}
-    if len(out) != len(triples):
-        seen: set[tuple[str, int]] = set()
-        for country, year, _ in triples:
-            key = (country, year)
-            if key in seen:
-                raise DuplicateKey(f"duplicate {role} triple for {key}")
-            seen.add(key)
-    return out
 
 
 def load_files(gdp_path, cab_pct_path, ggb_path) -> Dataset:

@@ -184,21 +184,21 @@ def _ssr(ts: Sequence[float], ys: Sequence[float], a: float, b: float) -> float:
 
 
 def _normal_terms(ts, ys, a, b):
-    """J'J entries and gradient J'r at (a, b)."""
+    """J'J entries and gradient J'r at (a, b), all finite or OverflowError."""
     e11, e12, e22, f1, f2 = [], [], [], [], []
     for t, y in zip(ts, ys):
-        e = math.exp(b * t)
-        j1 = e
-        j2 = a * t * e
-        r = y - a * e
+        j1 = math.exp(b * t)
+        j2 = a * t * j1
+        r = y - a * j1
         e11.append(j1 * j1)
         e12.append(j1 * j2)
         e22.append(j2 * j2)
         f1.append(j1 * r)
         f2.append(j2 * r)
-    s11, s12, s22 = math.fsum(e11), math.fsum(e12), math.fsum(e22)
-    g1, g2 = math.fsum(f1), math.fsum(f2)
-    return s11, s12, s22, g1, g2
+    sums = tuple(map(math.fsum, (e11, e12, e22, f1, f2)))
+    if not all(map(math.isfinite, sums)):
+        raise OverflowError("normal equations overflow the float range")
+    return sums
 
 
 def _solve2(a11: float, a12: float, a22: float, b1: float, b2: float):

@@ -57,15 +57,15 @@ class TestRegionSeries:
         assert len(points) == 14
 
     def test_empty_intersection(self, dataset):
-        ds = eb.assemble([("DE", 2000, 1.0)], [], [])
+        ds = eb.assemble({("DE", 2000): 1.0}, {}, {})
         region = RegionDefinition("DE", frozenset({"DE"}))
         with pytest.raises(eb.EmptyIntersection):
             region_series(ds, region, "CAB")
 
     def test_overflowing_sums_name_region_kind_and_year(self):
         # each year fits a float; the running sum does not
-        ds = eb.assemble([("DE", 1995, 1e308), ("DE", 1996, 1e308),
-                          ("FR", 1996, 1e308)], [], [])
+        ds = eb.assemble({("DE", 1995): 1e308, ("DE", 1996): 1e308,
+                          ("FR", 1996): 1e308}, {}, {})
         de = RegionDefinition("DE only", frozenset({"DE"}))
         assert region_series(ds, de, "GDP").points == ((0, 1e308),
                                                        (1, 1e308))

@@ -257,19 +257,21 @@ class TestExitCodes:
         ("fit", "--series", "eu9plus"), ("stability", "--scope", "eu"),
     ), ids=("fit", "stability"))
     def test_fit_overflow_names_the_series(self, tmp_path, capsys, argv):
-        # the EU9+ sums fit a float; the fit's squares do not
+        # the EU9+ sums fit a float; the fit's squares do not: at 1.5e308
+        # the residual squares overflow, at 1e160 only the normal equations
         data = tmp_path / "data"
         shutil.copytree(BUNDLED_DATA, data)
         lines = (data / "gdp.csv").read_text().split("\n")
-        (data / "gdp.csv").write_text("\n".join(
-            f"{line[:2]},1995,1.5e308"
-            if line[:8] in ("DE,1995,", "FR,1995,") else line
-            for line in lines))
-        rc = cli.main(["--data-dir", str(data), "--out", str(tmp_path),
-                       *argv])
-        assert rc == 3
-        assert capsys.readouterr().err == (
-            "error: fit of series eu9plus overflows the float range\n")
+        for gdp in ("1.5e308", "1e160"):
+            (data / "gdp.csv").write_text("\n".join(
+                f"{line[:2]},1995,{gdp}"
+                if line[:8] in ("DE,1995,", "FR,1995,") else line
+                for line in lines))
+            rc = cli.main(["--data-dir", str(data), "--out", str(tmp_path),
+                           *argv])
+            assert rc == 3
+            assert capsys.readouterr().err == (
+                "error: fit of series eu9plus overflows the float range\n")
 
     @pytest.mark.parametrize("table, message", (
         ("5", "GDP sum for all countries overflows in 1995"),

@@ -23,8 +23,7 @@ def _reference_parse_table(raw_text):
                                                         "value"):
         raise eb.MalformedHeader(
             f"expected header 'country,year,value', got {header!r}")
-    triples = []
-    seen = set()
+    table = {}
     for lineno, ln in enumerate(reader, start=2):
         ln = ln.strip()
         if not ln:
@@ -41,11 +40,10 @@ def _reference_parse_table(raw_text):
             raise eb.BadNumeric(f"line {lineno}: {ln!r}") from None
         if not math.isfinite(value):
             raise eb.BadNumeric(f"line {lineno}: value is not finite: {ln!r}")
-        if (country, year) in seen:
+        if (country, year) in table:
             raise eb.DuplicateKey(f"duplicate row for {country} {year}")
-        seen.add((country, year))
-        triples.append((country, year, value))
-    return triples
+        table[(country, year)] = value
+    return table
 
 
 def _plain_csv(dataset, field):
@@ -64,13 +62,13 @@ def _outcome(parse, text):
 
 class TestPlainCsv:
     def test_parse(self):
-        triples = parse_table("country,year,value\nEL,2000,0.5\n")
-        assert triples == [("EL", 2000, 0.5)]
+        table = parse_table("country,year,value\nEL,2000,0.5\n")
+        assert table == {("EL", 2000): 0.5}
 
     def test_header_only(self):
-        assert parse_table("country,year,value\n") == []
-        assert parse_table("country,year,value") == []
-        assert parse_table("country,year,value\r\n \n\t\n") == []
+        assert parse_table("country,year,value\n") == {}
+        assert parse_table("country,year,value") == {}
+        assert parse_table("country,year,value\r\n \n\t\n") == {}
 
     def test_header_required(self):
         with pytest.raises(eb.MalformedHeader):
@@ -117,7 +115,7 @@ class TestBulkParse:
     def test_whitespace_and_crlf(self):
         text = ("country , year,value\r\n\r\n  DE , 2000 ,1.5 \r\n"
                 "\t\nFR,\t2001, -2e3\r\n \n")
-        assert parse_table(text) == [("DE", 2000, 1.5), ("FR", 2001, -2000.0)]
+        assert parse_table(text) == {("DE", 2000): 1.5, ("FR", 2001): -2000.0}
         assert parse_table(text) == _reference_parse_table(text)
 
     def test_matches_reference(self):
@@ -166,41 +164,30 @@ class TestBulkParse:
 
 class TestAssemble:
     def test_conversion_and_identity(self):
-        ds = eb.assemble([("DE", 2011, 2592.6)], [("DE", 2011, 0.057)],
-                         [("DE", 2011, -20.0)])
+        ds = eb.assemble({("DE", 2011): 2592.6}, {("DE", 2011): 0.057},
+                         {("DE", 2011): -20.0})
         rec = ds.get("DE", 2011)
         assert rec.cab_eur == pytest.approx(147.7782, rel=1e-9)
         assert rec.psb_eur == rec.cab_eur - rec.ggb_eur
 
     def test_zero_pct_gives_zero_eur(self):
-        ds = eb.assemble([("DE", 2001, 2113.16)], [("DE", 2001, 0.0)], [])
+        ds = eb.assemble({("DE", 2001): 2113.16}, {("DE", 2001): 0.0}, {})
         assert ds.get("DE", 2001).cab_eur == 0.0
 
     def test_absent_fields_are_none(self):
-        ds = eb.assemble([("BG", 1995, 10.0)], [], [])
+        ds = eb.assemble({("BG", 1995): 10.0}, {}, {})
         rec = ds.get("BG", 1995)
         assert rec.cab_pct is None and rec.cab_eur is None
         assert rec.ggb_eur is None and rec.psb_eur is None
 
     def test_missing_gdp(self):
         with pytest.raises(eb.MissingGdp):
-            eb.assemble([("DE", 2011, 2592.6)], [("FR", 2011, 0.01)], [])
+            eb.assemble({("DE", 2011): 2592.6}, {("FR", 2011): 0.01}, {})
 
     def test_missing_gdp_names_the_smallest_key(self):
-        pct = [(code, 2011, 0.01) for code in ("UK", "FR", "AT", "NL")]
+        pct = {(code, 2011): 0.01 for code in ("UK", "FR", "AT", "NL")}
         with pytest.raises(eb.MissingGdp, match=r"\('AT', 2011\)$"):
-            eb.assemble([("DE", 2011, 2592.6)], pct, [("SE", 2011, 1.0)])
-
-    def test_duplicate_triples(self):
-        with pytest.raises(eb.DuplicateKey):
-            eb.assemble([("DE", 2011, 1.0), ("DE", 2011, 1.0)], [], [])
-
-    def test_duplicate_message_names_role_and_key(self):
-        with pytest.raises(eb.DuplicateKey,
-                           match=r"^duplicate ggb triple for \('FR', 2010\)$"):
-            eb.assemble([("DE", 2011, 1.0), ("FR", 2010, 2.0)], [],
-                        [("FR", 2010, 1.0), ("DE", 2011, 1.0),
-                         ("FR", 2010, 3.0), ("DE", 2011, 4.0)])
+            eb.assemble({("DE", 2011): 2592.6}, pct, {("SE", 2011): 1.0})
 
 
 class TestRecordInvariants:
@@ -248,10 +235,9 @@ class TestBundled:
         # repr is the shortest round-trip form, so parsing it gives back
         # each float bit for bit
         for field in ("gdp", "cab_pct", "ggb_eur"):
-            triples = parse_table(_plain_csv(dataset, field))
             want = {(r.country, r.year): getattr(r, field)
                     for r in dataset if getattr(r, field) is not None}
-            assert {(c, y): v for c, y, v in triples} == want
+            assert parse_table(_plain_csv(dataset, field)) == want
 
     def test_duplicate_record_rejected(self, dataset):
         recs = list(dataset)
