@@ -46,22 +46,15 @@ PLOT_STEPS_PER_YEAR = 20  # grid step 0.05
 def sig6(x: float) -> str:
     """Render x with 6 significant digits, half rounded away from zero.
 
-    The digits are those of repr(x) rounded half-up. For a normal double
-    whose 7th significant digit is not 5, repr(x) and the exact binary
-    value lie on the same side of every 6-digit rounding boundary, so
-    printf-style rounding of the binary value gives the same digits.
+    The digits are repr(x)'s rounded half-up. For a normal x whose 7th digit
+    is not 5, repr(x) and x share a side of every 6-digit rounding boundary,
+    so %.6g gives the same digits, in e-notation outside exponents -4..5.
     """
-    if 1e-99 <= abs(x) < 1e99:
-        seven = "%.6e" % x  # two exponent digits, so [-5] is the 7th digit
-        if seven[-5] != "5":
-            e = int(seven[-3:])
-            if not -5 < e < 5:  # rounding to 6 digits may raise e by one
-                mantissa, exp = ("%.5e" % x).split("e")
-                e = int(exp)
-                if e >= 6 or e <= -5:
-                    return f"{mantissa.rstrip('0').rstrip('.')}e{e}"
-            s = "%.*f" % (5 - e, x)
-            return s.rstrip("0") if "." in s else s + "."
+    if 1e-99 <= abs(x) < 1e99 and ("%.6e" % x)[-5] != "5":  # 7th digit
+        s, e, exp = ("%.6g" % x).partition("e")
+        if e:
+            return f"{s}e{int(exp)}"  # e+06 -> e6, e-05 -> e-5
+        return s if "." in s else s + "."
     return _sig6_exact(x)
 
 
@@ -69,6 +62,8 @@ def _sig6_exact(x: float) -> str:
     """sig6 by half-up rounding of repr(x)'s digits; exact for every float."""
     if x == 0:
         return "0."
+    if not math.isfinite(x):
+        raise ValueError(f"cannot format non-finite value {x!r}")
     mantissa, _, exp = repr(abs(float(x))).partition("e")
     whole, _, frac = mantissa.partition(".")
     digits = (whole + frac).lstrip("0")
@@ -83,6 +78,11 @@ def _sig6_exact(x: float) -> str:
     if e < 0:
         return f"{sign}0.{'0' * (-e - 1)}{d}"
     return f"{sign}{d[:e + 1].ljust(e + 1, '0')}.{d[e + 1:]}"
+
+
+def _negated(cell: str) -> str:
+    """sig6(-x) from cell == sig6(x): half-up rounding is symmetric in sign."""
+    return cell[1:] if cell[0] == "-" else cell if cell == "0." else "-" + cell
 
 
 class Table(_Frozen):
@@ -365,11 +365,11 @@ def plot_data_table(scope: str, analysis: stability.GapAnalysis,
         t = k / PLOT_STEPS_PER_YEAR
         surplus = s_model.alpha * math.exp(s_model.beta * t)
         deficit = d_model.alpha * math.exp(d_model.beta * t)
-        gap = surplus + deficit  # deficit is negative
         s_lo, s_hi = stability.band_envelope(s_model, t, band_level)
         d_lo, d_hi = stability.band_envelope(d_model, t, band_level)
-        rows.append((sig6(t), sig6(surplus), sig6(-surplus),
-                     sig6(deficit), sig6(-deficit), sig6(gap),
+        s, d = sig6(surplus), sig6(deficit)
+        rows.append((sig6(t), s, _negated(s), d, _negated(d),
+                     sig6(surplus + deficit),  # the deficit is negative
                      sig6(s_lo), sig6(s_hi), sig6(-d_hi), sig6(-d_lo)))
     return Table(f"Plot data: {scope}",
                  ("t", "surplus", "surplus_neg", "deficit", "deficit_mag",

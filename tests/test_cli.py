@@ -153,6 +153,18 @@ class TestStability:
         assert rows[2][0] == "0.05"
         assert rows[-1][0] == "25."
 
+    def test_plot_negated_columns_flip_the_sign(self, tmp_path):
+        assert run(tmp_path, "stability", "--scope", "eu") == 0
+        header, *rows = cells(read(tmp_path, "plot_eu.csv"))
+        col = {name: i for i, name in enumerate(header)}
+        for row in rows:
+            for cell, negated in (("surplus", "surplus_neg"),
+                                  ("deficit", "deficit_mag")):
+                value = row[col[cell]]
+                assert value != "0."
+                flipped = value[1:] if value[0] == "-" else "-" + value
+                assert row[col[negated]] == flipped, row
+
     def test_tiny_band_collapses_interval(self, tmp_path):
         assert run(tmp_path, "stability", "--scope", "eurozone",
                    "--band-level", "0.0001") == 0

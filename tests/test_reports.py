@@ -63,6 +63,13 @@ EDGES = (
 )
 
 
+def _flipped(cell: str) -> str:
+    """cell with its sign flipped; "0." has no sign."""
+    if cell == "0.":
+        return cell
+    return cell[1:] if cell.startswith("-") else "-" + cell
+
+
 class TestSig6:
     @pytest.mark.parametrize("x, want", EDGES)
     def test_format_edges(self, x, want):
@@ -99,3 +106,50 @@ class TestSig6:
             _both_match_reference(x)
 
         check()
+
+    @pytest.mark.parametrize("x", (math.nan, math.inf, -math.inf))
+    def test_non_finite_is_named(self, x):
+        with pytest.raises(ValueError,
+                           match=f"^cannot format non-finite value {x!r}$"):
+            sig6(x)
+
+    def test_negation_flips_the_sign(self):
+        rng = random.Random(4242)
+        xs = [x for x, _ in EDGES]
+        xs += [rng.choice((1, -1)) * 10.0 ** rng.uniform(-300, 300)
+               for _ in range(10000)]
+        xs += [rng.choice((1, -1)) * (rng.randrange(100000, 1000000) * 10 + 5)
+               * 10.0 ** rng.randint(-20, 8) for _ in range(5000)]
+        while len(xs) < len(EDGES) + 20000:
+            x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            if math.isfinite(x):
+                xs.append(x)
+        for x in xs:
+            assert sig6(-x) == _flipped(sig6(x)), repr(x)
+        assert sig6(-0.0) == sig6(0.0) == "0."
+
+
+def _fast_path_window(rng: random.Random) -> list[float]:
+    """Log-uniform values over sig6's printf window [1e-99, 1e99), both
+    signs, then values one ulp either side of the 6-digit rounding
+    boundaries (7th digit 5, or the power itself) and of the 7-digit ones
+    (8th digit 5, where the 7th-digit guard flips) near each power of ten
+    from 1e-6 to 1e7."""
+    xs = [rng.choice((1, -1)) * 10.0 ** rng.uniform(-99, 99)
+          for _ in range(200000)]
+    for k in range(-6, 8):
+        for m in (0.9999995, 0.99999945, 0.99999955, 0.99999995, 1.0,
+                  1.000005, 1.0000005, 1.0000045, 1.0000055):
+            b = m * 10.0 ** k
+            for y in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)):
+                xs += (y, -y)
+    return xs
+
+
+class TestSig6FastPath:
+    def test_fast_path_window_matches_exact_path(self):
+        xs = _fast_path_window(random.Random(20261019))
+        for x in xs:
+            assert sig6(x) == _sig6_exact(x), repr(x)
+        for x in xs[::10] + xs[200000:]:
+            assert sig6(x) == _sig6_decimal(x), repr(x)
