@@ -22,7 +22,6 @@ from .dataset import (
 )
 from .accounting import (
     AccountingError,
-    BalanceSeries,
     DegenerateSpan,
     EmptyIntersection,
     RegionDefinition,

@@ -1,9 +1,10 @@
 """Region aggregation, ranked totals, GDP shares, average rates.
 
-Regions are plain sets of country codes. All aggregation follows the
-additive sum rule: a region's balance is the algebraic sum of its members'
-balances, with absent member-years contributing nothing (Bulgaria before
-1998 and Greece before 2000 in the bundled data).
+Regions are plain sets of country codes; a country is a region of one.
+All aggregation follows the additive sum rule: a region's balance is the
+algebraic sum of its members' balances, with absent member-years
+contributing nothing (Bulgaria before 1998 and Greece before 2000 in the
+bundled data).
 """
 from __future__ import annotations
 
@@ -44,18 +45,14 @@ class RegionDefinition(_Frozen):
         object.__setattr__(self, "members", frozenset(self.members))
 
 
-class BalanceSeries(_Frozen):
-    __slots__ = ("subject", "kind", "mode", "points")
-
-
 class TotalsRow(_Frozen):
     __slots__ = ("subject", "cab_total", "ggb_total", "psb_total",
                  "rank_cab", "rank_ggb", "rank_psb")
 
 
 def region_series(dataset: Dataset, region: RegionDefinition, kind: str,
-                  mode: str = "annual") -> BalanceSeries:
-    """Aggregate one balance kind over a region, annually or cumulatively.
+                  mode: str = "annual") -> tuple[tuple[int, float], ...]:
+    """(t, value) points of one balance kind summed over a region.
 
     A year appears in the series when at least one member reports; the sum
     runs over reporting members only. Sums use compensated summation.
@@ -87,23 +84,21 @@ def region_series(dataset: Dataset, region: RegionDefinition, kind: str,
     except OverflowError:
         raise SumOverflow(f"{mode} {kind} sum for region {region.name!r} "
                           f"overflows in {year}") from None
-    return BalanceSeries(region.name, kind, mode, tuple(points))
+    return tuple(points)
 
 
 def region_total(dataset: Dataset, region: RegionDefinition, kind: str) -> float:
     """Whole-period total of a balance kind over a region."""
-    series = region_series(dataset, region, kind, "cumulative")
-    return series.points[-1][1]
+    return region_series(dataset, region, kind, "cumulative")[-1][1]
 
 
-def totals_table(dataset: Dataset,
-                 countries: Sequence[str]) -> list[TotalsRow]:
+def totals_table(dataset: Dataset) -> list[TotalsRow]:
     """Per-country whole-period totals with descending signed-value ranks.
 
     Rank ties are broken by country code so re-ranking is reproducible.
     """
     totals: dict[str, tuple[float, float, float]] = {}
-    for country in countries:
+    for country in dataset.countries:
         cab, ggb = [], []
         for year in dataset.years:
             rec = dataset.get(country, year)
@@ -122,24 +117,17 @@ def totals_table(dataset: Dataset,
 
     r_cab, r_ggb, r_psb = ranks(0), ranks(1), ranks(2)
     return [TotalsRow(c, *totals[c], r_cab[c], r_ggb[c], r_psb[c])
-            for c in countries]
+            for c in totals]
 
 
-def gdp_share(dataset: Dataset, subject, year: int) -> float:
-    """A country's or region's share of the GDP of all countries.
+def gdp_share(dataset: Dataset, region: RegionDefinition, year: int) -> float:
+    """A region's share of the GDP of all countries.
 
     GDPs are positive and summed over all countries first, so only that
     sum can overflow: a region whose members are not all there raises
     MissingGdp."""
     denom = _gdp_sum(dataset, dataset.countries, year)
-    if isinstance(subject, RegionDefinition):
-        num = _gdp_sum(dataset, subject.members, year)
-    else:
-        rec = dataset.get(subject, year)
-        if rec is None:
-            raise MissingGdp(f"no GDP for {subject} {year}")
-        num = rec.gdp
-    return num / denom
+    return _gdp_sum(dataset, region.members, year) / denom
 
 
 def _gdp_sum(dataset: Dataset, members: Iterable[str], year: int) -> float:

@@ -112,11 +112,14 @@ def to_text(table: Table) -> str:
     return "\n".join(out) + "\n"
 
 
+# A country is a region of one, named as in the tables, before any region.
+_COUNTRIES = {name: RegionDefinition(name, frozenset({code}))
+              for code, name in COUNTRY_NAMES.items()}
+
+
 def _region(regions: dict[str, RegionDefinition], name: str) -> RegionDefinition:
-    if name == "Germany":
-        return RegionDefinition("Germany", frozenset({"DE"}))
     try:
-        return regions[name]
+        return _COUNTRIES[name] if name in _COUNTRIES else regions[name]
     except KeyError:
         raise ValueError(f"region {name!r} is not defined") from None
 
@@ -125,7 +128,7 @@ def _region(regions: dict[str, RegionDefinition], name: str) -> RegionDefinition
 # Tables 1-12.
 
 def country_totals_table(dataset: Dataset) -> Table:
-    totals = sorted(accounting.totals_table(dataset, dataset.countries),
+    totals = sorted(accounting.totals_table(dataset),
                     key=lambda r: COUNTRY_NAMES.get(r.subject, r.subject))
     rows = [(COUNTRY_NAMES.get(r.subject, r.subject),
              sig6(r.cab_total), str(r.rank_cab),
@@ -166,8 +169,7 @@ def _totals_table(dataset: Dataset, regions: dict[str, RegionDefinition],
 
 # Tables 5-12: a title and (header, measure, subject) columns, one row per
 # year. Measures: "GDP" and "CAB" (annual region sums), "CAB/GDP", the
-# "region share" and "country share" of total GDP, and "sum" (of the row's
-# cells before it).
+# "share" of total GDP, and "sum" (of the row's cells before it).
 def _columns(measure: str,
              names: Sequence[str]) -> tuple[tuple[str, str, str], ...]:
     return tuple((name, measure, name) for name in names)
@@ -179,18 +181,18 @@ def _pair_columns(names: Sequence[str]) -> tuple[tuple[str, str, str], ...]:
                                 (f"{name} CAB/GDP", "CAB/GDP", name)))
 
 
-_TABLE5_CODES = ("DE", "FR", "UK", "IT", "ES", "NL")
 _GDP_REGIONS = ("EU9+", "EU18-", "Germany", "EU26", "Eurozone6+",
                 "Eurozone10-", "Eurozone", "EU10", "EU27")
 _BLOCKS = ("Germany", "Eurozone6+", "Eurozone10-", "EU10", "EU27")
 
 _YEAR_TABLES = {
     5: ("GDP shares of the six largest economies",
-        (*((COUNTRY_NAMES[c], "country share", c) for c in _TABLE5_CODES),
+        (*_columns("share", ("Germany", "France", "United Kingdom", "Italy",
+                             "Spain", "Netherlands")),
          ("Total", "sum", ""))),
     6: ("Region GDP by year", _columns("GDP", _GDP_REGIONS)),
     7: ("Region shares of total GDP",
-        _columns("region share", _GDP_REGIONS[:-1])),
+        _columns("share", _GDP_REGIONS[:-1])),
     8: ("Annual current-account balances by block",
         _columns("CAB", _BLOCKS)),
     9: ("Annual current-account balances as GDP fractions",
@@ -211,7 +213,7 @@ def _year_table(dataset: Dataset, regions: dict[str, RegionDefinition],
     def series_at(name: str, kind: str, year: int) -> float:
         if (name, kind) not in annual:
             points = accounting.region_series(
-                dataset, _region(regions, name), kind, "annual").points
+                dataset, _region(regions, name), kind, "annual")
             annual[name, kind] = {BASE_YEAR + t: v for t, v in points}
         try:
             return annual[name, kind][year]
@@ -228,11 +230,9 @@ def _year_table(dataset: Dataset, regions: dict[str, RegionDefinition],
             elif measure == "CAB/GDP":
                 value = (series_at(subject, "CAB", year)
                          / series_at(subject, "GDP", year))
-            elif measure == "region share":
+            elif measure == "share":
                 value = accounting.gdp_share(
                     dataset, _region(regions, subject), year)
-            elif measure == "country share":
-                value = accounting.gdp_share(dataset, subject, year)
             else:  # "sum"
                 value = math.fsum(values)
             values.append(value)
@@ -262,9 +262,8 @@ def fit_series_points(dataset: Dataset, regions: dict[str, RegionDefinition],
         region_name = FIT_SERIES[series_key]
     except KeyError:
         raise ValueError(f"unknown series {series_key!r}") from None
-    region = _region(regions, region_name)
-    series = accounting.region_series(dataset, region, "CAB", "cumulative")
-    return list(series.points)
+    return list(accounting.region_series(
+        dataset, _region(regions, region_name), "CAB", "cumulative"))
 
 
 def fit_summary_table(series_key: str, model: expfit.ExpFitModel,

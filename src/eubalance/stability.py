@@ -138,6 +138,10 @@ def uncertainty_interval(analysis: GapAnalysis,
     """
     if not 0.0 < band_level < 1.0:
         raise ValueError(f"band_level must lie in (0, 1), got {band_level}")
+    if analysis.d <= analysis.b:
+        raise NoIntersection(
+            f"deficit rate d = {analysis.d:.6g} does not exceed surplus "
+            f"rate b = {analysis.b:.6g}: deficits never overtake surpluses")
     tp = turning_points(analysis)
     s, d = analysis.surplus_model, analysis.deficit_model
     q_s = t_quantile(1.0 - (1.0 - band_level) / 2.0, s.dof)

@@ -74,7 +74,7 @@ def test_criterion_1_identity_and_sum_rule(dataset, regions):
 
 
 def test_criterion_2_country_totals_table(dataset):
-    rows = eb.totals_table(dataset, sorted(dataset.countries))
+    rows = eb.totals_table(dataset)
     failures = []
     for row in rows:
         cab, r_c, ggb, r_g, psb, r_p = gv.TABLE1[row.subject]

@@ -64,8 +64,10 @@ class TestReport:
             assert table.header[1:] == (
                 *(reports.COUNTRY_NAMES[c] for c in TABLE5_CODES), "Total")
             for year, row in rows.items():
-                shares = [accounting.gdp_share(dataset, c, year)
-                          for c in TABLE5_CODES]
+                shares = [
+                    accounting.gdp_share(
+                        dataset, accounting.RegionDefinition(c, {c}), year)
+                    for c in TABLE5_CODES]
                 assert row[-1] == reports.sig6(math.fsum(shares))
         for year, column, text in PINNED_CELLS.get(table_id, ()):
             assert rows[year][table.header.index(column) - 1] == text
@@ -84,6 +86,33 @@ class TestReport:
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, "report", "--table", "99")
         assert exc.value.code == 2
+
+
+class TestSubjects:
+    """A country is a region of one, named as in the tables, and its name
+    resolves before any region of the same name in the regions file."""
+
+    def test_country_names_resolve_to_one_code_regions(self):
+        for code, name in reports.COUNTRY_NAMES.items():
+            region = reports._region({}, name)
+            assert (region.name, region.members) == (name, {code})
+
+    def test_regions_file_cannot_redefine_a_country(self, tmp_path):
+        regions = {name: sorted(region.members) for name, region
+                   in accounting.bundled_regions().items()}
+        regions["Germany"] = ["DE", "FR"]
+        regions["France"] = ["FR", "IT"]
+        path = tmp_path / "regions.json"
+        path.write_text(json.dumps(regions))
+        bundled, redefined = tmp_path / "bundled", tmp_path / "redefined"
+        for table in (2, 3, 4, 5, 11):
+            argv = ["report", "--table", str(table)]
+            assert cli.main(["--out", str(bundled), *argv]) == 0
+            assert cli.main(["--regions", str(path), "--out", str(redefined),
+                             *argv]) == 0
+            for suffix in ("csv", "txt"):
+                name = f"table_{table}.{suffix}"
+                assert read(redefined, name) == read(bundled, name)
 
 
 class TestFit:
@@ -378,6 +407,19 @@ class TestExitCodes:
         rc = run(tmp_path, "fit", "--series", "eu9plus")
         assert rc == 4
         assert capsys.readouterr().err == "error: forced\n"
+
+    def test_deficit_rate_not_above_surplus_rate_is_exit_5(self, tmp_path,
+                                                           capsys):
+        # Germany's surpluses outgrow the UK's deficits: no turning point
+        path = tmp_path / "regions.json"
+        path.write_text('{"EU9+": ["DE"], "EU18-": ["UK"]}')
+        rc = cli.main(["--regions", str(path), "--out", str(tmp_path),
+                       "stability", "--scope", "eu"])
+        assert rc == 5
+        assert capsys.readouterr().err == (
+            "error: deficit rate d = 0.151364 does not exceed surplus rate "
+            "b = 0.298277: deficits never overtake surpluses\n")
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_no_intersection_is_exit_5(self, tmp_path, monkeypatch):
         def explode(analysis, band_level):

@@ -60,9 +60,6 @@ RECORDS = {
     eb.RegionDefinition: (
         ("name", "members"), {}, _region_checks,
         ("EU9+", frozenset({"DE", "NL", "AT"})), frozenset({"DE"})),
-    eb.BalanceSeries: (
-        ("subject", "kind", "mode", "points"), {}, None,
-        ("EU27", "CAB", "annual", ((0, 1.5), (1, -2.25))), ((0, 1.5),)),
     eb.TotalsRow: (
         ("subject", "cab_total", "ggb_total", "psb_total", "rank_cab",
          "rank_ggb", "rank_psb"), {}, None,

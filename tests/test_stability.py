@@ -241,6 +241,14 @@ class TestUncertaintyInterval:
         with pytest.raises(ValueError):
             eb.uncertainty_interval(analyses["eu"], 1.0)
 
+    @pytest.mark.parametrize("b, d", ((0.2, 0.1), (0.2, 0.2)))
+    def test_deficit_rate_must_exceed_surplus_rate(self, b, d):
+        analysis = _toy_analysis(10.0, b, 5.0, d)
+        with pytest.raises(eb.NoIntersection, match=(
+                rf"^deficit rate d = {d} does not exceed surplus rate "
+                rf"b = {b}: ")):
+            eb.uncertainty_interval(analysis, 0.99)
+
     def test_root_not_bracketed(self):
         # enormous residual variance pushes every band far from the level
         analysis = _toy_analysis(100.0, 0.17, 80.0, 0.23,
