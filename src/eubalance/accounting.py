@@ -108,8 +108,11 @@ def totals_table(dataset: Dataset) -> list[TotalsRow]:
                 cab.append(rec.cab_eur)
             if rec.ggb_eur is not None:
                 ggb.append(rec.ggb_eur)
-        cab_t, ggb_t = math.fsum(cab), math.fsum(ggb)
-        totals[country] = (cab_t, ggb_t, cab_t - ggb_t)
+        cab_t = _total("CAB", country, cab)
+        ggb_t = _total("GGB", country, ggb)
+        # cab_t - ggb_t, rounded once as the sum of cab_t and -ggb_t
+        psb_t = _total("PSB", country, (cab_t, -ggb_t))
+        totals[country] = (cab_t, ggb_t, psb_t)
 
     def ranks(index: int) -> dict[str, int]:
         order = sorted(totals, key=lambda c: (-totals[c][index], c))
@@ -118,6 +121,15 @@ def totals_table(dataset: Dataset) -> list[TotalsRow]:
     r_cab, r_ggb, r_psb = ranks(0), ranks(1), ranks(2)
     return [TotalsRow(c, *totals[c], r_cab[c], r_ggb[c], r_psb[c])
             for c in totals]
+
+
+def _total(kind: str, subject: str, values: Iterable[float]) -> float:
+    """The compensated sum of finite values, naming kind and subject if
+    it overflows the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise SumOverflow(f"{kind} total for {subject} overflows") from None
 
 
 def gdp_share(dataset: Dataset, region: RegionDefinition, year: int) -> float:

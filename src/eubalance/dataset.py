@@ -32,7 +32,8 @@ class MalformedHeader(DatasetError):
 
 
 class BadNumeric(DatasetError):
-    """A row lacks three fields, or its year or value is not a finite number."""
+    """A row lacks three fields, its year or value is not a finite number,
+    or a value derived from it is not finite."""
 
 
 class DuplicateKey(DatasetError):
@@ -50,23 +51,15 @@ class _Frozen:
     __slots__ = ()
 
     def __init__(self, *args, **kwargs) -> None:
-        fields, name = self.__slots__, type(self).__name__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} positional "
-                            f"arguments but {len(args)} were given")
-        values = dict(zip(fields, args))
-        for key, value in kwargs.items():
-            if key not in fields:
-                raise TypeError(f"{name}() got an unexpected keyword "
-                                f"argument {key!r}")
-            if key in values:
-                raise TypeError(f"{name}() got multiple values for "
-                                f"argument {key!r}")
-            values[key] = value
-        for key in fields:
-            if key not in values:
-                raise TypeError(f"{name}() missing required argument {key!r}")
-            object.__setattr__(self, key, values[key])
+        fields, given = self.__slots__, len(args)
+        if (given + len(kwargs) != len(fields)
+                or kwargs and kwargs.keys() != set(fields[given:])):
+            raise TypeError(f"{type(self).__name__}() takes the fields "
+                            f"{', '.join(fields)}, each once")
+        for key, value in zip(fields, args):
+            object.__setattr__(self, key, value)
+        for key in fields[given:]:
+            object.__setattr__(self, key, kwargs[key])
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -103,21 +96,18 @@ class _Frozen:
 class CountryYearRecord(_Frozen):
     """One country-year observation; missing fields are None, never zero."""
 
-    __slots__ = ("country", "year", "t", "gdp", "cab_pct", "cab_eur",
-                 "ggb_eur", "psb_eur")
+    __slots__ = ("country", "year", "gdp", "cab_pct", "cab_eur", "ggb_eur",
+                 "psb_eur")
 
-    def __init__(self, country: str, year: int, t: int, gdp: float,
+    def __init__(self, country: str, year: int, gdp: float,
                  cab_pct: float | None = None, cab_eur: float | None = None,
                  ggb_eur: float | None = None,
                  psb_eur: float | None = None) -> None:
-        if t != year - BASE_YEAR:
-            raise ValueError(f"t={t} inconsistent with year={year}")
         if not gdp > 0:
             raise ValueError(f"GDP for {country} {year} is not positive: "
                              f"{gdp!r}")
         _set_country(self, country)
         _set_year(self, year)
-        _set_t(self, t)
         _set_gdp(self, gdp)
         _set_cab_pct(self, cab_pct)
         _set_cab_eur(self, cab_eur)
@@ -127,9 +117,9 @@ class CountryYearRecord(_Frozen):
 
 # The slot descriptors' setters, bound once: a record fills its slots
 # without looking each one up by name or passing the frozen __setattr__.
-(_set_country, _set_year, _set_t, _set_gdp, _set_cab_pct, _set_cab_eur,
- _set_ggb_eur, _set_psb_eur) = (vars(CountryYearRecord)[name].__set__
-                                for name in CountryYearRecord.__slots__)
+(_set_country, _set_year, _set_gdp, _set_cab_pct, _set_cab_eur, _set_ggb_eur,
+ _set_psb_eur) = (vars(CountryYearRecord)[name].__set__
+                  for name in CountryYearRecord.__slots__)
 
 
 class Dataset:
@@ -234,7 +224,8 @@ def assemble(gdp: Mapping[tuple[str, int], float],
     """Combine the three {(country, year): value} mappings into records.
 
     cab_eur = cab_pct * gdp; psb_eur = cab_eur - ggb_eur where both exist.
-    Every (country, year) carrying a balance must also carry GDP.
+    Every (country, year) carrying a balance must also carry GDP, and the
+    derived values must be finite.
     """
     missing = (cab_pct.keys() | ggb.keys()) - gdp.keys()
     if missing:
@@ -247,8 +238,19 @@ def assemble(gdp: Mapping[tuple[str, int], float],
         b = ggb.get(key)
         cab = None if p is None else p * g
         psb = None if (cab is None or b is None) else cab - b
-        records.append(CountryYearRecord(country, year, year - BASE_YEAR, g,
-                                         p, cab, b, psb))
+        records.append(CountryYearRecord(country, year, g, p, cab, b, psb))
+    # No |cab_eur| or |psb_eur| exceeds this bound, so only when it
+    # overflows can a derived value be infinite.
+    bound = (max(gdp.values(), default=0.0)
+             * max(map(abs, cab_pct.values()), default=0.0)
+             + max(map(abs, ggb.values()), default=0.0))
+    if not math.isfinite(bound):
+        for rec in records:
+            for field in ("cab_eur", "psb_eur"):
+                value = getattr(rec, field)
+                if value is not None and not math.isfinite(value):
+                    raise BadNumeric(f"{field} for {rec.country} {rec.year} "
+                                     f"is not finite: {value!r}")
     return Dataset(records)
 
 

@@ -57,8 +57,7 @@ class ExpFitModel(_Frozen):
 
 
 class PredictionRow(_Frozen):
-    __slots__ = ("t", "observed", "predicted", "se_single", "ci_low",
-                 "ci_high", "level")
+    __slots__ = ("t", "predicted", "se_single", "ci_low", "ci_high", "level")
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +306,14 @@ def se_single(model: ExpFitModel, t: float) -> float:
     return math.sqrt(model.mse + var_mean)
 
 
-def predict(model: ExpFitModel, t: float, level: float = 0.95,
-            observed: float | None = None) -> PredictionRow:
+def predict(model: ExpFitModel, t: float,
+            level: float = 0.95) -> PredictionRow:
     """Point prediction at t with a single-observation confidence interval."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     pred = model.alpha * math.exp(model.beta * t)
     se = se_single(model, t)
     q = t_quantile(1.0 - (1.0 - level) / 2.0, model.dof)
-    return PredictionRow(t=t, observed=observed, predicted=pred, se_single=se,
+    return PredictionRow(t=t, predicted=pred, se_single=se,
                          ci_low=pred - q * se, ci_high=pred + q * se,
                          level=level)

@@ -134,9 +134,10 @@ def country_totals_table(dataset: Dataset) -> Table:
              sig6(r.cab_total), str(r.rank_cab),
              sig6(r.ggb_total), str(r.rank_ggb),
              sig6(r.psb_total), str(r.rank_psb)) for r in totals]
-    cab = math.fsum(r.cab_total for r in totals)
-    ggb = math.fsum(r.ggb_total for r in totals)
-    psb = math.fsum(r.psb_total for r in totals)
+    total = accounting._total
+    cab = total("CAB", "all countries", [r.cab_total for r in totals])
+    ggb = total("GGB", "all countries", [r.ggb_total for r in totals])
+    psb = total("PSB", "all countries", [r.psb_total for r in totals])
     rows.append(("EU27", sig6(cab), "", sig6(ggb), "", sig6(psb), ""))
     return Table("Country balance totals with ranks",
                  ("country", "cab_total", "rank", "ggb_total", "rank",
@@ -304,10 +305,9 @@ def prediction_table(series_key: str, model: expfit.ExpFitModel,
     observed = dict(points)
     rows = []
     for t in range(PREDICT_THROUGH_T + 1):
-        row = expfit.predict(model, float(t), level=level,
-                             observed=observed.get(t))
+        row = expfit.predict(model, float(t), level=level)
         rows.append((str(BASE_YEAR + t), str(t),
-                     "-" if row.observed is None else sig6(row.observed),
+                     sig6(observed[t]) if t in observed else "-",
                      sig6(row.predicted), sig6(row.se_single),
                      sig6(row.ci_low), sig6(row.ci_high)))
     return Table(f"Predictions: {FIT_SERIES.get(series_key, series_key)}",

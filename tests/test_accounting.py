@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import eubalance as eb
-from eubalance.accounting import RegionDefinition, region_series, region_total
+from eubalance.accounting import (RegionDefinition, SumOverflow,
+                                  region_series, region_total)
 
 import golden_values as gv
 
@@ -38,7 +39,8 @@ class TestRegionSeries:
         series = region_series(dataset, eu27, "CAB")
         for t, value in series:
             members = [r.cab_eur for r in dataset
-                       if r.t == t and r.cab_eur is not None]
+                       if r.year - eb.BASE_YEAR == t
+                       and r.cab_eur is not None]
             assert value == pytest.approx(math.fsum(members), rel=1e-9)
 
     def test_cumulative_is_running_sum(self, dataset, regions):
@@ -111,6 +113,19 @@ class TestTotals:
                     pytest.approx(ggb, rel=1e-5)
                 assert region_total(dataset, region, "PSB") == \
                     pytest.approx(psb_v, rel=1e-4)
+
+    def test_psb_total_overflow_is_named(self):
+        # every record and the CAB and GGB totals fit a float; their
+        # difference does not
+        gdp = {("DE", 1995): 1.5e308, ("DE", 1996): 1500.0}
+        ds = eb.assemble(gdp, {("DE", 1995): 0.9, ("DE", 1996): 0.0},
+                         {("DE", 1995): 0.0, ("DE", 1996): -1.5e308})
+        with pytest.raises(SumOverflow, match="^PSB total for DE overflows$"):
+            eb.totals_table(ds)
+
+    def test_psb_total_is_the_rounded_difference(self, dataset):
+        for row in eb.totals_table(dataset):
+            assert row.psb_total == row.cab_total - row.ggb_total
 
 
 class TestShares:

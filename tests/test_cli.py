@@ -34,6 +34,17 @@ def cells(csv_text):
     return [line.split(",") for line in lines]
 
 
+def _huge_cab(codes, years, ggb=None):
+    """Input edits giving each (code, year) a GDP of 1.5e308 and a CAB/GDP
+    of 0.9, so its CAB fits a float, and a GGB of ggb if one is given."""
+    rows = [f"{code},{year}," for code in codes for year in years]
+    edits = {"gdp.csv": dict.fromkeys(rows, "1.5e308"),
+             "cab_pct.csv": dict.fromkeys(rows, "0.9")}
+    if ggb is not None:
+        edits["ggb.csv"] = dict.fromkeys(rows, ggb)
+    return edits
+
+
 class TestReport:
     def test_table1_germany_row(self, tmp_path, capsys):
         assert run(tmp_path, "report", "--table", "1") == 0
@@ -327,6 +338,30 @@ class TestExitCodes:
             f"{line[:2]},1995,1.5e308"
             if line[:8] in ("DE,1995,", "FR,1995,") else line
             for line in lines))
+        rc = cli.main(["--data-dir", str(data), "--out", str(tmp_path),
+                       "report", "--table", table])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edits, table, message", (
+        (_huge_cab(("DE", "FR"), (1995,)), "1",
+         "CAB total for all countries overflows"),
+        (_huge_cab(("DE",), range(1995, 2000)), "1",
+         "CAB total for DE overflows"),
+        (_huge_cab(("DE",), (1995,), ggb="-1.5e308"), "1",
+         "psb_eur for DE 1995 is not finite: inf"),
+        (_huge_cab(("DE",), (1995,), ggb="-1.5e308"), "2",
+         "psb_eur for DE 1995 is not finite: inf"),
+    ), ids=("eu27-total", "country-total", "psb-table-1", "psb-table-2"))
+    def test_total_overflow_is_named(self, tmp_path, capsys, edits, table,
+                                     message):
+        data = tmp_path / "data"
+        shutil.copytree(BUNDLED_DATA, data)
+        for name, values in edits.items():
+            lines = (data / name).read_text().split("\n")
+            (data / name).write_text("\n".join(
+                line[:8] + values[line[:8]] if line[:8] in values else line
+                for line in lines))
         rc = cli.main(["--data-dir", str(data), "--out", str(tmp_path),
                        "report", "--table", table])
         assert rc == 3

@@ -189,18 +189,32 @@ class TestAssemble:
         with pytest.raises(eb.MissingGdp, match=r"\('AT', 2011\)$"):
             eb.assemble({("DE", 2011): 2592.6}, pct, {("SE", 2011): 1.0})
 
+    @pytest.mark.parametrize("pct, ggb, field", (
+        (2.0, {}, "cab_eur"),
+        (0.9, {("DE", 1995): -1.5e308}, "psb_eur"),
+    ), ids=("cab_eur", "psb_eur"))
+    def test_non_finite_derived_value_is_named(self, pct, ggb, field):
+        gdp = {("DE", 1995): 1.5e308, ("FR", 1995): 1500.0}
+        cab_pct = {("DE", 1995): pct, ("FR", 1995): 0.01}
+        with pytest.raises(eb.BadNumeric,
+                           match=rf"^{field} for DE 1995 is not finite: inf$"):
+            eb.assemble(gdp, cab_pct, ggb)
+
+    def test_large_finite_derived_values_load(self):
+        # the overflow bound is passed, yet every derived value is finite
+        ds = eb.assemble({("DE", 1995): 1.5e308, ("FR", 1995): 1500.0},
+                         {("DE", 1995): 1e-3, ("FR", 1995): 0.9},
+                         {("DE", 1995): -1.5e308})
+        assert ds.get("DE", 1995).psb_eur == 1.5e308 + 1.5e305
+
 
 class TestRecordInvariants:
-    def test_t_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            eb.CountryYearRecord(country="DE", year=2000, t=3, gdp=1.0)
-
     def test_negative_gdp_rejected(self):
         with pytest.raises(ValueError):
-            eb.CountryYearRecord(country="DE", year=2000, t=5, gdp=-1.0)
+            eb.CountryYearRecord(country="DE", year=2000, gdp=-1.0)
 
     def test_frozen(self):
-        rec = eb.CountryYearRecord("DE", 2000, 5, 1.0)
+        rec = eb.CountryYearRecord("DE", 2000, 1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             rec.gdp = 2.0
 
@@ -229,7 +243,6 @@ class TestBundled:
                                                     rel=1e-9)
             if rec.cab_eur is not None and rec.ggb_eur is not None:
                 assert rec.psb_eur == rec.cab_eur - rec.ggb_eur
-            assert rec.t == rec.year - eb.BASE_YEAR
 
     def test_round_trip_bit_exact(self, dataset):
         # repr is the shortest round-trip form, so parsing it gives back

@@ -237,10 +237,6 @@ class TestPredict:
         model = models["euro7plus"]
         assert se_single(model, 8.0) > math.sqrt(model.mse)
 
-    def test_observed_passthrough(self, models):
-        row = eb.predict(models["eu9plus"], 3.0, observed=195.566)
-        assert row.observed == 195.566
-
     def test_level_validation(self, models):
         with pytest.raises(ValueError):
             eb.predict(models["eu9plus"], 1.0, level=1.0)

@@ -14,12 +14,9 @@ import pytest
 
 import eubalance as eb
 from eubalance import reports
-from eubalance.dataset import BASE_YEAR
 
 
 def _record_checks(self):
-    if self.t != self.year - BASE_YEAR:
-        raise ValueError(f"t={self.t} inconsistent with year={self.year}")
     if not self.gdp > 0:
         raise ValueError(f"GDP for {self.country} {self.year} is not "
                          f"positive: {self.gdp!r}")
@@ -52,11 +49,11 @@ def _model(alpha):
 #         another value for the last field)
 RECORDS = {
     eb.CountryYearRecord: (
-        ("country", "year", "t", "gdp", "cab_pct", "cab_eur", "ggb_eur",
+        ("country", "year", "gdp", "cab_pct", "cab_eur", "ggb_eur",
          "psb_eur"),
         {"cab_pct": None, "cab_eur": None, "ggb_eur": None, "psb_eur": None},
         _record_checks,
-        ("DE", 2000, 5, 1900.5, 0.01, 19.005, -20.0, 39.005), 40.0),
+        ("DE", 2000, 1900.5, 0.01, 19.005, -20.0, 39.005), 40.0),
     eb.RegionDefinition: (
         ("name", "members"), {}, _region_checks,
         ("EU9+", frozenset({"DE", "NL", "AT"})), frozenset({"DE"})),
@@ -74,9 +71,8 @@ RECORDS = {
         (168.249, 0.1, ((4.0, -0.5), (-0.5, 0.01)), 17, 15, 0.5, _ANOVA),
         eb.AnovaTable(10.0, 1.0, 11.0, 4.5, 2, 15, 17, 16)),
     eb.PredictionRow: (
-        ("t", "observed", "predicted", "se_single", "ci_low", "ci_high",
-         "level"), {}, None,
-        (3.0, None, 12.5, 0.75, 11.0, 14.0, 0.95), 0.99),
+        ("t", "predicted", "se_single", "ci_low", "ci_high", "level"), {},
+        None, (3.0, 12.5, 0.75, 11.0, 14.0, 0.95), 0.99),
     eb.GapAnalysis: (
         ("surplus_model", "deficit_model"), {}, _gap_checks,
         (_model(168.0), _model(-85.0)), _model(-90.0)),
@@ -147,7 +143,7 @@ class TestRecordParity:
         )
         for args, kwargs in calls:
             for make in (cls, _reference(cls)):
-                with pytest.raises(TypeError):
+                with pytest.raises(TypeError, match=rf"\b{cls.__name__}\b"):
                     make(*args, **kwargs)
 
     def test_frozen(self, cls):
@@ -170,9 +166,13 @@ class TestRecordParity:
 class TestRecordDetails:
     def test_record_defaults(self):
         names, defaults, _, values, _ = RECORDS[eb.CountryYearRecord]
-        ours, ref = _both(eb.CountryYearRecord, *values[:4])
+        ours, ref = _both(eb.CountryYearRecord, *values[:3])
         assert repr(ours) == repr(ref)
         assert all(getattr(ours, name) is None for name in defaults)
+
+    def test_record_takes_no_t(self):
+        with pytest.raises(TypeError, match="'t'"):
+            eb.CountryYearRecord(country="DE", year=2000, t=5, gdp=1.0)
 
     def test_region_members_become_frozenset(self):
         ours, ref = _both(eb.RegionDefinition, "EU", ["DE", "FR", "DE"])
@@ -198,8 +198,8 @@ class TestRecordDetails:
             with pytest.raises(ValueError, match=message):
                 make(s, d)
 
-    @pytest.mark.parametrize("t, gdp", ((3, 1.0), (5, -1.0), (5, 0.0)))
-    def test_record_checks(self, t, gdp):
+    @pytest.mark.parametrize("gdp", (-1.0, 0.0))
+    def test_record_checks(self, gdp):
         for make in (eb.CountryYearRecord, _reference(eb.CountryYearRecord)):
             with pytest.raises(ValueError):
-                make("DE", 2000, t, gdp)
+                make("DE", 2000, gdp)
