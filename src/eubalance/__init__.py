@@ -9,7 +9,6 @@ analysis with turning points and uncertainty time intervals.
 from .dataset import (
     BASE_YEAR,
     BadNumeric,
-    CountryYearRecord,
     Dataset,
     DatasetError,
     DuplicateKey,

@@ -61,13 +61,10 @@ def region_series(dataset: Dataset, region: RegionDefinition, kind: str,
         raise ValueError(f"unknown kind {kind!r}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    field = _FIELD[kind]
+    members = region.members
     by_year: dict[int, list[float]] = {}
-    for (country, year), rec in dataset.records.items():
-        if country not in region.members:
-            continue
-        value = getattr(rec, field)
-        if value is not None:
+    for (country, year), value in getattr(dataset, _FIELD[kind]).items():
+        if country in members:
             by_year.setdefault(year, []).append(value)
     if not by_year:
         raise EmptyIntersection(f"no {kind} data for region {region.name!r}")
@@ -97,19 +94,16 @@ def totals_table(dataset: Dataset) -> list[TotalsRow]:
 
     Rank ties are broken by country code so re-ranking is reproducible.
     """
+    countries = dataset.countries
+    cab: dict[str, list[float]] = {c: [] for c in countries}
+    ggb: dict[str, list[float]] = {c: [] for c in countries}
+    for column, values in ((dataset.cab_eur, cab), (dataset.ggb_eur, ggb)):
+        for (country, _), value in column.items():
+            values[country].append(value)
     totals: dict[str, tuple[float, float, float]] = {}
-    for country in dataset.countries:
-        cab, ggb = [], []
-        for year in dataset.years:
-            rec = dataset.get(country, year)
-            if rec is None:
-                continue
-            if rec.cab_eur is not None:
-                cab.append(rec.cab_eur)
-            if rec.ggb_eur is not None:
-                ggb.append(rec.ggb_eur)
-        cab_t = _total("CAB", country, cab)
-        ggb_t = _total("GGB", country, ggb)
+    for country in countries:
+        cab_t = _total("CAB", country, cab[country])
+        ggb_t = _total("GGB", country, ggb[country])
         # cab_t - ggb_t, rounded once as the sum of cab_t and -ggb_t
         psb_t = _total("PSB", country, (cab_t, -ggb_t))
         totals[country] = (cab_t, ggb_t, psb_t)
@@ -143,13 +137,12 @@ def gdp_share(dataset: Dataset, region: RegionDefinition, year: int) -> float:
 
 
 def _gdp_sum(dataset: Dataset, members: Iterable[str], year: int) -> float:
-    values = []
-    for country in members:
-        rec = dataset.get(country, year)
-        if rec is None:  # name the same member whatever the set's order
-            missing = min(c for c in members if dataset.get(c, year) is None)
-            raise MissingGdp(f"no GDP for {missing} {year}")
-        values.append(rec.gdp)
+    gdp = dataset.gdp
+    try:
+        values = [gdp[country, year] for country in members]
+    except KeyError:  # name the same member whatever the set's order
+        missing = min(c for c in members if (c, year) not in gdp)
+        raise MissingGdp(f"no GDP for {missing} {year}") from None
     try:
         return math.fsum(values)
     except OverflowError:

@@ -1,8 +1,9 @@
 """Ingestion of country-year balance tables.
 
 Each input table is a plain CSV with header ``country,year,value``, parsed
-into a {(country, year): value} mapping; the three mappings are combined
-into an immutable :class:`Dataset` of :class:`CountryYearRecord`.
+into a {(country, year): value} mapping. A :class:`Dataset` holds one
+read-only column of that shape per field, so a reader walks the one field
+it needs.
 
 Current-account values arrive as fractions of GDP and are converted to
 billion EUR on assembly; the private-sector balance is derived as the
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import gc
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Mapping
 from types import MappingProxyType
 
 BASE_YEAR = 1995
@@ -21,6 +22,8 @@ PLAIN_CSV_HEADER = ("country", "year", "value")
 
 # The input file names, in the argument order of load_files.
 INPUT_FILES = ("gdp.csv", "cab_pct.csv", "ggb.csv")
+
+_Column = Mapping[tuple[str, int], float]
 
 
 class DatasetError(Exception):
@@ -93,59 +96,21 @@ class _Frozen:
         return type(self), self._values()
 
 
-class CountryYearRecord(_Frozen):
-    """One country-year observation; missing fields are None, never zero."""
-
-    __slots__ = ("country", "year", "gdp", "cab_pct", "cab_eur", "ggb_eur",
-                 "psb_eur")
-
-    def __init__(self, country: str, year: int, gdp: float,
-                 cab_pct: float | None = None, cab_eur: float | None = None,
-                 ggb_eur: float | None = None,
-                 psb_eur: float | None = None) -> None:
-        if not gdp > 0:
-            raise ValueError(f"GDP for {country} {year} is not positive: "
-                             f"{gdp!r}")
-        _set_country(self, country)
-        _set_year(self, year)
-        _set_gdp(self, gdp)
-        _set_cab_pct(self, cab_pct)
-        _set_cab_eur(self, cab_eur)
-        _set_ggb_eur(self, ggb_eur)
-        _set_psb_eur(self, psb_eur)
-
-
-# The slot descriptors' setters, bound once: a record fills its slots
-# without looking each one up by name or passing the frozen __setattr__.
-(_set_country, _set_year, _set_gdp, _set_cab_pct, _set_cab_eur, _set_ggb_eur,
- _set_psb_eur) = (vars(CountryYearRecord)[name].__set__
-                  for name in CountryYearRecord.__slots__)
-
-
 class Dataset:
-    """Immutable mapping of (country, year) to CountryYearRecord."""
+    """Read-only columns keyed by (country, year).
 
-    def __init__(self, records: Iterable[CountryYearRecord]) -> None:
-        records = list(records)
-        store = {(rec.country, rec.year): rec for rec in records}
-        if len(store) != len(records):
-            seen: set[tuple[str, int]] = set()
-            for rec in records:
-                key = (rec.country, rec.year)
-                if key in seen:
-                    raise DuplicateKey(f"record for {key} appears twice")
-                seen.add(key)
-        self._records: Mapping[tuple[str, int], CountryYearRecord] = \
-            MappingProxyType(store)
-        self._countries = tuple(sorted({c for c, _ in store}))
-        self._years = tuple(sorted({y for _, y in store}))
+    ``gdp``, ``cab_pct`` and ``ggb_eur`` hold the values as read and
+    ``cab_eur`` and ``psb_eur`` the derived ones, as views of the mappings
+    given (:func:`assemble` copies its inputs). A key absent from a column
+    has no value there; every key of a column is a key of ``gdp``.
+    """
 
-    @property
-    def records(self) -> Mapping[tuple[str, int], CountryYearRecord]:
-        return self._records
-
-    def get(self, country: str, year: int) -> CountryYearRecord | None:
-        return self._records.get((country, year))
+    def __init__(self, gdp: _Column, cab_pct: _Column, ggb_eur: _Column,
+                 cab_eur: _Column, psb_eur: _Column) -> None:
+        self.gdp, self.cab_pct, self.ggb_eur, self.cab_eur, self.psb_eur = (
+            map(MappingProxyType, (gdp, cab_pct, ggb_eur, cab_eur, psb_eur)))
+        self._countries = tuple(sorted({c for c, _ in gdp}))
+        self._years = tuple(sorted({y for _, y in gdp}))
 
     @property
     def countries(self) -> tuple[str, ...]:
@@ -155,12 +120,8 @@ class Dataset:
     def years(self) -> tuple[int, ...]:
         return self._years
 
-    def __iter__(self) -> Iterator[CountryYearRecord]:
-        return iter(sorted(self._records.values(),
-                           key=lambda r: (r.country, r.year)))
-
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.gdp)
 
 
 def parse_table(raw_text: str) -> dict[tuple[str, int], float]:
@@ -218,40 +179,41 @@ def _raise_first_bad_line(body: str) -> None:
         seen.add((country, year))
 
 
-def assemble(gdp: Mapping[tuple[str, int], float],
-             cab_pct: Mapping[tuple[str, int], float],
-             ggb: Mapping[tuple[str, int], float]) -> Dataset:
-    """Combine the three {(country, year): value} mappings into records.
+def assemble(gdp: _Column, cab_pct: _Column, ggb: _Column) -> Dataset:
+    """Combine the three {(country, year): value} mappings into a Dataset.
 
     cab_eur = cab_pct * gdp; psb_eur = cab_eur - ggb_eur where both exist.
-    Every (country, year) carrying a balance must also carry GDP, and the
-    derived values must be finite.
+    Every (country, year) carrying a balance must also carry a positive
+    GDP, and the derived values must be finite. Each check names its
+    smallest bad key.
     """
     missing = (cab_pct.keys() | ggb.keys()) - gdp.keys()
     if missing:
         raise MissingGdp(f"balance present without GDP for {min(missing)}")
-    records = []
-    for key in sorted(gdp):
-        country, year = key
-        g = gdp[key]
-        p = cab_pct.get(key)
-        b = ggb.get(key)
-        cab = None if p is None else p * g
-        psb = None if (cab is None or b is None) else cab - b
-        records.append(CountryYearRecord(country, year, g, p, cab, b, psb))
+    bad = min((key for key, g in gdp.items() if not g > 0), default=None)
+    if bad is not None:
+        raise ValueError(f"GDP for {bad[0]} {bad[1]} is not positive: "
+                         f"{gdp[bad]!r}")
+    cab_eur = {key: p * gdp[key] for key, p in cab_pct.items()}
+    psb_eur = {key: cab - ggb[key] for key, cab in cab_eur.items()
+               if key in ggb}
     # No |cab_eur| or |psb_eur| exceeds this bound, so only when it
     # overflows can a derived value be infinite.
     bound = (max(gdp.values(), default=0.0)
              * max(map(abs, cab_pct.values()), default=0.0)
              + max(map(abs, ggb.values()), default=0.0))
     if not math.isfinite(bound):
-        for rec in records:
-            for field in ("cab_eur", "psb_eur"):
-                value = getattr(rec, field)
-                if value is not None and not math.isfinite(value):
-                    raise BadNumeric(f"{field} for {rec.country} {rec.year} "
-                                     f"is not finite: {value!r}")
-    return Dataset(records)
+        # at one key, cab_eur is named before psb_eur
+        bad = min(((key, field, value)
+                   for field, column in (("cab_eur", cab_eur),
+                                         ("psb_eur", psb_eur))
+                   for key, value in column.items()
+                   if not math.isfinite(value)), default=None)
+        if bad is not None:
+            (country, year), field, value = bad
+            raise BadNumeric(f"{field} for {country} {year} "
+                             f"is not finite: {value!r}")
+    return Dataset(dict(gdp), dict(cab_pct), dict(ggb), cab_eur, psb_eur)
 
 
 def load_files(gdp_path, cab_pct_path, ggb_path) -> Dataset:
@@ -277,8 +239,8 @@ def _load(read, sources) -> Dataset:
     """Read and parse each source in turn, then assemble them, with the
     cyclic collector paused.
 
-    A load builds only acyclic objects (tuples, dicts and records of
-    atoms), which reference counting frees, so the collector could only
+    A load builds only acyclic objects (tuples and dicts of atoms),
+    which reference counting frees, so the collector could only
     traverse them. The caller's collector state is restored, enabled or
     disabled. One raw text is alive at a time.
     """

@@ -46,11 +46,16 @@ PLOT_STEPS_PER_YEAR = 20  # grid step 0.05
 def sig6(x: float) -> str:
     """Render x with 6 significant digits, half rounded away from zero.
 
-    The digits are repr(x)'s rounded half-up. For a normal x whose 7th digit
-    is not 5, repr(x) and x share a side of every 6-digit rounding boundary,
-    so %.6g gives the same digits, in e-notation outside exponents -4..5.
+    The digits are repr(x)'s rounded half-up. A normal x and every decimal
+    that reads back as x lie within a relative 2**-53 of each other, far
+    closer than 7-digit decimals lie to each other. So a 6-digit rounding
+    boundary (a 7-digit tie) lies between x and repr(x), or on repr(x),
+    only when repr(x) is that tie; then x's %.6e digits show it and read
+    back as x. Otherwise %.6g gives the same digits, in e-notation outside
+    exponents -4..5.
     """
-    if 1e-99 <= abs(x) < 1e99 and ("%.6e" % x)[-5] != "5":  # 7th digit
+    e7 = "%.6e" % x  # 7 digits; in the window, e7[-5] is the 7th
+    if 1e-99 <= abs(x) < 1e99 and (e7[-5] != "5" or float(e7) != x):
         s, e, exp = ("%.6g" % x).partition("e")
         if e:
             return f"{s}e{int(exp)}"  # e+06 -> e6, e-05 -> e-5

@@ -37,10 +37,11 @@ def test_criterion_1_identity_and_sum_rule(dataset, regions):
 
     # the private balance is the residual of the identity, so this
     # direction of the equality is bitwise
-    complete = [r for r in dataset if r.cab_eur is not None]
-    for rec in complete:
-        if rec.psb_eur != rec.cab_eur - rec.ggb_eur:
-            failures.append(f"identity broken for {rec.country} {rec.year}")
+    complete = dataset.cab_eur
+    for (country, year), cab in complete.items():
+        if dataset.psb_eur.get((country, year)) != (
+                cab - dataset.ggb_eur[country, year]):
+            failures.append(f"identity broken for {country} {year}")
 
     for parts, whole_name in _PARTITIONS:
         for kind in ("CAB", "GGB", "PSB"):

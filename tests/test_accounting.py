@@ -25,12 +25,11 @@ class TestIdentity:
     def test_identity_holds_for_every_record(self, dataset):
         # the private balance is residual, so the identity is exact in
         # the computed direction
-        checked = 0
-        for rec in dataset:
-            if rec.cab_eur is not None and rec.ggb_eur is not None:
-                assert rec.psb_eur == rec.cab_eur - rec.ggb_eur
-                checked += 1
-        assert checked == 27 * 17 - 3 - 5  # BG from 1998, EL from 2000
+        psb, cab, ggb = dataset.psb_eur, dataset.cab_eur, dataset.ggb_eur
+        assert psb.keys() == cab.keys() & ggb.keys()
+        for key, value in psb.items():
+            assert value == cab[key] - ggb[key]
+        assert len(psb) == 27 * 17 - 3 - 5  # BG from 1998, EL from 2000
 
 
 class TestRegionSeries:
@@ -38,9 +37,8 @@ class TestRegionSeries:
         eu27 = regions["EU27"]
         series = region_series(dataset, eu27, "CAB")
         for t, value in series:
-            members = [r.cab_eur for r in dataset
-                       if r.year - eb.BASE_YEAR == t
-                       and r.cab_eur is not None]
+            members = [value for (_, year), value in dataset.cab_eur.items()
+                       if year - eb.BASE_YEAR == t]
             assert value == pytest.approx(math.fsum(members), rel=1e-9)
 
     def test_cumulative_is_running_sum(self, dataset, regions):

@@ -1,6 +1,5 @@
 """CSV parsing, assembly rules, load paths, and bundled-data coverage."""
 import contextlib
-import dataclasses
 import gc
 import io
 import math
@@ -46,11 +45,18 @@ def _reference_parse_table(raw_text):
     return table
 
 
-def _plain_csv(dataset, field):
-    """One record field as a plain-CSV table, values by repr."""
+COLUMNS = ("gdp", "cab_pct", "ggb_eur", "cab_eur", "psb_eur")
+
+
+def _plain_csv(column):
+    """One column as a plain-CSV table in key order, values by repr."""
     return "".join(["country,year,value\n"] + [
-        f"{r.country},{r.year},{getattr(r, field)!r}\n" for r in dataset
-        if getattr(r, field) is not None])
+        f"{country},{year},{value!r}\n"
+        for (country, year), value in sorted(column.items())])
+
+
+def _columns(dataset):
+    return {name: dict(getattr(dataset, name)) for name in COLUMNS}
 
 
 def _outcome(parse, text):
@@ -166,19 +172,18 @@ class TestAssemble:
     def test_conversion_and_identity(self):
         ds = eb.assemble({("DE", 2011): 2592.6}, {("DE", 2011): 0.057},
                          {("DE", 2011): -20.0})
-        rec = ds.get("DE", 2011)
-        assert rec.cab_eur == pytest.approx(147.7782, rel=1e-9)
-        assert rec.psb_eur == rec.cab_eur - rec.ggb_eur
+        cab = ds.cab_eur["DE", 2011]
+        assert cab == pytest.approx(147.7782, rel=1e-9)
+        assert ds.psb_eur["DE", 2011] == cab - ds.ggb_eur["DE", 2011]
 
     def test_zero_pct_gives_zero_eur(self):
         ds = eb.assemble({("DE", 2001): 2113.16}, {("DE", 2001): 0.0}, {})
-        assert ds.get("DE", 2001).cab_eur == 0.0
+        assert ds.cab_eur["DE", 2001] == 0.0
 
     def test_absent_fields_are_none(self):
         ds = eb.assemble({("BG", 1995): 10.0}, {}, {})
-        rec = ds.get("BG", 1995)
-        assert rec.cab_pct is None and rec.cab_eur is None
-        assert rec.ggb_eur is None and rec.psb_eur is None
+        assert ds.gdp == {("BG", 1995): 10.0}
+        assert ds.cab_pct == ds.cab_eur == ds.ggb_eur == ds.psb_eur == {}
 
     def test_missing_gdp(self):
         with pytest.raises(eb.MissingGdp):
@@ -205,18 +210,42 @@ class TestAssemble:
         ds = eb.assemble({("DE", 1995): 1.5e308, ("FR", 1995): 1500.0},
                          {("DE", 1995): 1e-3, ("FR", 1995): 0.9},
                          {("DE", 1995): -1.5e308})
-        assert ds.get("DE", 1995).psb_eur == 1.5e308 + 1.5e305
+        assert ds.psb_eur["DE", 1995] == 1.5e308 + 1.5e305
+
+    def test_inputs_are_copied(self):
+        inputs = ({("DE", 2000): 1.0}, {("DE", 2000): 0.5},
+                  {("DE", 2000): 0.25})
+        ds = eb.assemble(*inputs)
+        for column in inputs:
+            column["DE", 2000] = -1.0
+        assert (ds.gdp, ds.cab_pct, ds.ggb_eur) == (
+            {("DE", 2000): 1.0}, {("DE", 2000): 0.5}, {("DE", 2000): 0.25})
+
+    def test_smallest_key_is_named_cab_eur_first(self):
+        gdp = {("DE", 1995): 1.5e308, ("DE", 1996): 1.5e308}
+        ggb = {("DE", 1995): -1.5e308, ("DE", 1996): 1.0}
+        # psb_eur is infinite at DE 1995, cab_eur and psb_eur at DE 1996
+        with pytest.raises(eb.BadNumeric,
+                           match=r"^psb_eur for DE 1995 is not finite: inf$"):
+            eb.assemble(gdp, {("DE", 1995): 0.9, ("DE", 1996): 2.0}, ggb)
+        with pytest.raises(eb.BadNumeric,
+                           match=r"^cab_eur for DE 1996 is not finite: inf$"):
+            eb.assemble(gdp, {("DE", 1995): 0.1, ("DE", 1996): 2.0}, ggb)
 
 
 class TestRecordInvariants:
     def test_negative_gdp_rejected(self):
-        with pytest.raises(ValueError):
-            eb.CountryYearRecord(country="DE", year=2000, gdp=-1.0)
+        gdp = {("FR", 1995): 0.0, ("DE", 1996): -1.0, ("AT", 2000): 1.0}
+        with pytest.raises(ValueError, match=(
+                r"^GDP for DE 1996 is not positive: -1\.0$")):
+            eb.assemble(gdp, {}, {})
 
     def test_frozen(self):
-        rec = eb.CountryYearRecord("DE", 2000, 1.0)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            rec.gdp = 2.0
+        ds = eb.assemble({("DE", 2000): 1.0}, {("DE", 2000): 0.5},
+                         {("DE", 2000): 0.25})
+        for name in COLUMNS:
+            with pytest.raises(TypeError):
+                getattr(ds, name)["DE", 2000] = 2.0
 
 
 class TestBundled:
@@ -227,49 +256,37 @@ class TestBundled:
 
     def test_late_starters(self, dataset):
         for country, first in (("BG", 1998), ("EL", 2000)):
-            years = sorted(y for (c, y), r in dataset.records.items()
-                           if c == country and r.cab_pct is not None)
+            years = sorted(y for c, y in dataset.cab_pct if c == country)
             assert years == list(range(first, 2012))
         full = [c for c in dataset.countries if c not in ("BG", "EL")]
         for country in full:
             missing = [y for y in range(1995, 2012)
-                       if dataset.get(country, y).cab_pct is None]
+                       if (country, y) not in dataset.cab_pct]
             assert missing == []
 
     def test_conversion_invariant(self, dataset):
-        for rec in dataset:
-            if rec.cab_pct is not None:
-                assert rec.cab_eur == pytest.approx(rec.cab_pct * rec.gdp,
-                                                    rel=1e-9)
-            if rec.cab_eur is not None and rec.ggb_eur is not None:
-                assert rec.psb_eur == rec.cab_eur - rec.ggb_eur
+        assert dataset.cab_eur.keys() == dataset.cab_pct.keys()
+        for key, pct in dataset.cab_pct.items():
+            assert dataset.cab_eur[key] == pytest.approx(
+                pct * dataset.gdp[key], rel=1e-9)
+        for key, psb in dataset.psb_eur.items():
+            assert psb == dataset.cab_eur[key] - dataset.ggb_eur[key]
 
     def test_round_trip_bit_exact(self, dataset):
         # repr is the shortest round-trip form, so parsing it gives back
         # each float bit for bit
         for field in ("gdp", "cab_pct", "ggb_eur"):
-            want = {(r.country, r.year): getattr(r, field)
-                    for r in dataset if getattr(r, field) is not None}
-            assert parse_table(_plain_csv(dataset, field)) == want
-
-    def test_duplicate_record_rejected(self, dataset):
-        recs = list(dataset)
-        with pytest.raises(eb.DuplicateKey,
-                           match=r"^record for \('AT', 1995\) appears twice$"):
-            eb.Dataset(recs + [recs[0]] + [recs[1]])
-
-    def test_iteration_sorted(self, dataset):
-        keys = [(r.country, r.year) for r in dataset]
-        assert keys == sorted(keys)
+            column = getattr(dataset, field)
+            assert parse_table(_plain_csv(column)) == column
 
     def test_germany_examples(self, dataset):
-        assert dataset.get("DE", 2011).cab_eur == pytest.approx(147.778,
-                                                                rel=1e-5)
-        assert dataset.get("DE", 1995).cab_eur == pytest.approx(-23.1537,
-                                                                rel=1e-5)
+        assert dataset.cab_eur["DE", 2011] == pytest.approx(147.778,
+                                                            rel=1e-5)
+        assert dataset.cab_eur["DE", 1995] == pytest.approx(-23.1537,
+                                                            rel=1e-5)
         # stored fraction carries more precision than the one-decimal
         # percent it is published at; it must sit inside that window
-        assert abs(dataset.get("DE", 1995).cab_pct - -0.012) <= 5e-7
+        assert abs(dataset.cab_pct["DE", 1995] - -0.012) <= 5e-7
 
 
 @contextlib.contextmanager
@@ -281,10 +298,6 @@ def _collector(enabled):
         yield
     finally:
         (gc.enable if was else gc.disable)()
-
-
-def _fields(rec):
-    return tuple(getattr(rec, name) for name in eb.CountryYearRecord.__slots__)
 
 
 class TestLoadPath:
@@ -353,12 +366,12 @@ class TestLoadPath:
         loaded = eb.load_files(*(tmp_path / n for n in INPUT_FILES))
         direct = eb.assemble(*(parse_table(text) for text in texts))
         assert len(loaded) == 3 * 459
-        assert [_fields(r) for r in loaded] == [_fields(r) for r in direct]
-        assert sum(f is None for r in loaded for f in _fields(r)) > 0
+        assert _columns(loaded) == _columns(direct)
+        assert len(loaded.psb_eur) < len(loaded)
         again = tmp_path / "again"
         again.mkdir()
         for name, field in zip(INPUT_FILES, ("gdp", "cab_pct", "ggb_eur")):
-            (again / name).write_text(_plain_csv(loaded, field),
+            (again / name).write_text(_plain_csv(getattr(loaded, field)),
                                       encoding="utf-8")
         reloaded = eb.load_files(*(again / n for n in INPUT_FILES))
-        assert [_fields(r) for r in reloaded] == [_fields(r) for r in loaded]
+        assert _columns(reloaded) == _columns(loaded)

@@ -16,12 +16,6 @@ import eubalance as eb
 from eubalance import reports
 
 
-def _record_checks(self):
-    if not self.gdp > 0:
-        raise ValueError(f"GDP for {self.country} {self.year} is not "
-                         f"positive: {self.gdp!r}")
-
-
 def _region_checks(self):
     if not self.members:
         raise ValueError(f"region {self.name!r} has no members")
@@ -45,45 +39,39 @@ def _model(alpha):
                           0.5, _ANOVA)
 
 
-# class: (field names in order, defaults, __post_init__, positional values,
-#         another value for the last field)
+# class: (field names in order, __post_init__, positional values, another
+#         value for the last field)
 RECORDS = {
-    eb.CountryYearRecord: (
-        ("country", "year", "gdp", "cab_pct", "cab_eur", "ggb_eur",
-         "psb_eur"),
-        {"cab_pct": None, "cab_eur": None, "ggb_eur": None, "psb_eur": None},
-        _record_checks,
-        ("DE", 2000, 1900.5, 0.01, 19.005, -20.0, 39.005), 40.0),
     eb.RegionDefinition: (
-        ("name", "members"), {}, _region_checks,
+        ("name", "members"), _region_checks,
         ("EU9+", frozenset({"DE", "NL", "AT"})), frozenset({"DE"})),
     eb.TotalsRow: (
         ("subject", "cab_total", "ggb_total", "psb_total", "rank_cab",
-         "rank_ggb", "rank_psb"), {}, None,
+         "rank_ggb", "rank_psb"), None,
         ("DE", 1097.96, -977.186, 2075.15, 1, 26, 1), 2),
     eb.AnovaTable: (
         ("ss_model", "ss_error", "ss_uncorrected_total",
          "ss_corrected_total", "df_model", "df_error", "df_uncorrected",
-         "df_corrected"), {}, None,
+         "df_corrected"), None,
         (10.0, 1.0, 11.0, 4.0, 2, 15, 17, 16), 15),
     eb.ExpFitModel: (
-        ("alpha", "beta", "cov", "n", "dof", "mse", "anova"), {}, None,
+        ("alpha", "beta", "cov", "n", "dof", "mse", "anova"), None,
         (168.249, 0.1, ((4.0, -0.5), (-0.5, 0.01)), 17, 15, 0.5, _ANOVA),
         eb.AnovaTable(10.0, 1.0, 11.0, 4.5, 2, 15, 17, 16)),
     eb.PredictionRow: (
-        ("t", "predicted", "se_single", "ci_low", "ci_high", "level"), {},
-        None, (3.0, 12.5, 0.75, 11.0, 14.0, 0.95), 0.99),
+        ("t", "predicted", "se_single", "ci_low", "ci_high", "level"), None,
+        (3.0, 12.5, 0.75, 11.0, 14.0, 0.95), 0.99),
     eb.GapAnalysis: (
-        ("surplus_model", "deficit_model"), {}, _gap_checks,
+        ("surplus_model", "deficit_model"), _gap_checks,
         (_model(168.0), _model(-85.0)), _model(-90.0)),
     eb.TurningPoints: (
-        ("t0", "t1", "t2", "level"), {}, None,
+        ("t0", "t1", "t2", "level"), None,
         (14.386, 10.5, 6.6, 4993.13), 4993.14),
     eb.UncertaintyInterval: (
-        ("t_m", "t_M", "band_level", "joint_level"), {}, None,
+        ("t_m", "t_M", "band_level", "joint_level"), None,
         (12.71373, 15.81344, 0.99, 0.9801), 0.98),
     reports.Table: (
-        ("title", "header", "rows"), {}, None,
+        ("title", "header", "rows"), None,
         ("Title", ("a", "b"), (("1", "2"), ("3", "4"))), ()),
 }
 
@@ -92,9 +80,8 @@ CLASSES = list(RECORDS)
 
 @functools.cache
 def _reference(cls):
-    names, defaults, post_init, _, _ = RECORDS[cls]
-    fields = [(name, object, dataclasses.field(default=defaults[name]))
-              if name in defaults else (name, object) for name in names]
+    names, post_init, _, _ = RECORDS[cls]
+    fields = [(name, object) for name in names]
     namespace = {"__post_init__": post_init} if post_init else {}
     return dataclasses.make_dataclass(cls.__name__, fields, frozen=True,
                                       namespace=namespace)
@@ -106,14 +93,14 @@ def _both(cls, *args, **kwargs):
 
 def _other(cls):
     """The sample's positional values with another last field."""
-    *values, _ = RECORDS[cls][3]
-    return (*values, RECORDS[cls][4])
+    *values, _ = RECORDS[cls][2]
+    return (*values, RECORDS[cls][3])
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 class TestRecordParity:
     def test_repr_eq_hash(self, cls):
-        values = RECORDS[cls][3]
+        values = RECORDS[cls][2]
         ours, ref = _both(cls, *values)
         assert repr(ours) == repr(ref)
         assert hash(ours) == hash(ref)
@@ -129,14 +116,13 @@ class TestRecordParity:
         assert ours.__eq__(tuple(values)) is NotImplemented
 
     def test_construction(self, cls):
-        names, defaults, _, values, _ = RECORDS[cls]
+        names, _, values, _ = RECORDS[cls]
         by_keyword = dict(zip(names, values))
         ours, ref = _both(cls, **by_keyword)
         assert ours == cls(*values)
         assert repr(ours) == repr(ref)
-        required = [name for name in names if name not in defaults]
         calls = (
-            ((), {name: by_keyword[name] for name in required[:-1]}),
+            ((), {name: by_keyword[name] for name in names[:-1]}),
             (values, {"unknown": 1}),
             (values, {names[0]: values[0]}),
             ((*values, 1), {}),
@@ -147,7 +133,7 @@ class TestRecordParity:
                     make(*args, **kwargs)
 
     def test_frozen(self, cls):
-        for record in _both(cls, *RECORDS[cls][3]):
+        for record in _both(cls, *RECORDS[cls][2]):
             for name in (RECORDS[cls][0][0], "not_a_field"):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(record, name, 1)
@@ -155,7 +141,7 @@ class TestRecordParity:
                 delattr(record, RECORDS[cls][0][0])
 
     def test_copy_and_pickle(self, cls):
-        record = cls(*RECORDS[cls][3])
+        record = cls(*RECORDS[cls][2])
         for clone in (copy.copy(record), copy.deepcopy(record),
                       pickle.loads(pickle.dumps(record))):
             assert type(clone) is cls
@@ -164,16 +150,6 @@ class TestRecordParity:
 
 
 class TestRecordDetails:
-    def test_record_defaults(self):
-        names, defaults, _, values, _ = RECORDS[eb.CountryYearRecord]
-        ours, ref = _both(eb.CountryYearRecord, *values[:3])
-        assert repr(ours) == repr(ref)
-        assert all(getattr(ours, name) is None for name in defaults)
-
-    def test_record_takes_no_t(self):
-        with pytest.raises(TypeError, match="'t'"):
-            eb.CountryYearRecord(country="DE", year=2000, t=5, gdp=1.0)
-
     def test_region_members_become_frozenset(self):
         ours, ref = _both(eb.RegionDefinition, "EU", ["DE", "FR", "DE"])
         assert ours.members == frozenset({"DE", "FR"})
@@ -197,9 +173,3 @@ class TestRecordDetails:
         for make in (eb.GapAnalysis, _reference(eb.GapAnalysis)):
             with pytest.raises(ValueError, match=message):
                 make(s, d)
-
-    @pytest.mark.parametrize("gdp", (-1.0, 0.0))
-    def test_record_checks(self, gdp):
-        for make in (eb.CountryYearRecord, _reference(eb.CountryYearRecord)):
-            with pytest.raises(ValueError):
-                make("DE", 2000, gdp)

@@ -7,6 +7,7 @@ from decimal import Decimal, ROUND_HALF_UP
 
 import pytest
 
+from eubalance import reports
 from eubalance.reports import _sig6_exact, sig6
 
 MAX = sys.float_info.max
@@ -129,12 +130,20 @@ class TestSig6:
         assert sig6(-0.0) == sig6(0.0) == "0."
 
 
+def _is_7_digit_tie(x: float) -> bool:
+    """Whether repr(x) has exactly 7 significant digits, the last a 5."""
+    digits = repr(abs(x)).partition("e")[0].replace(".", "").strip("0")
+    return len(digits) == 7 and digits[-1] == "5"
+
+
 def _fast_path_window(rng: random.Random) -> list[float]:
-    """Log-uniform values over sig6's printf window [1e-99, 1e99), both
-    signs, then values one ulp either side of the 6-digit rounding
-    boundaries (7th digit 5, or the power itself) and of the 7-digit ones
-    (8th digit 5, where the 7th-digit guard flips) near each power of ten
-    from 1e-6 to 1e7."""
+    """Log-uniform values over [1e-99, 1e99), both signs, then values one
+    ulp either side of the 6-digit rounding boundaries (7th digit 5, or the
+    power itself) and of the 7-digit ones (8th digit 5) near each power of
+    ten from 1e-6 to 1e7, then log-uniform values over the normal range,
+    and last 7-digit ties across the normal range with their neighbours
+    one ulp away, which share the tie's %.6e digits but do not read back
+    from them."""
     xs = [rng.choice((1, -1)) * 10.0 ** rng.uniform(-99, 99)
           for _ in range(200000)]
     for k in range(-6, 8):
@@ -143,6 +152,15 @@ def _fast_path_window(rng: random.Random) -> list[float]:
             b = m * 10.0 ** k
             for y in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)):
                 xs += (y, -y)
+    xs += [rng.choice((1, -1)) * 10.0 ** rng.uniform(-307, 308)
+           for _ in range(20000)]
+    for _ in range(5000):
+        digits, k = rng.randrange(100000, 1000000), rng.randint(-313, 301)
+        tie = float(f"{digits}5e{k}")
+        assert _is_7_digit_tie(tie)
+        for y in (math.nextafter(tie, 0.0), tie,
+                  math.nextafter(tie, math.inf)):
+            xs += (y, -y)
     return xs
 
 
@@ -153,3 +171,17 @@ class TestSig6FastPath:
             assert sig6(x) == _sig6_exact(x), repr(x)
         for x in xs[::10] + xs[200000:]:
             assert sig6(x) == _sig6_decimal(x), repr(x)
+
+    def test_report_tables_send_only_ties_to_the_exact_path(
+            self, monkeypatch, dataset, regions):
+        sent = []
+
+        def exact(x):
+            sent.append(x)
+            return _sig6_exact(x)
+
+        monkeypatch.setattr(reports, "_sig6_exact", exact)
+        for table_id in range(1, 13):
+            reports.build_table(dataset, regions, table_id)
+        # zero has no digits to round
+        assert [x for x in sent if x and not _is_7_digit_tie(x)] == []
