@@ -137,13 +137,13 @@ def _is_7_digit_tie(x: float) -> bool:
 
 
 def _fast_path_window(rng: random.Random) -> list[float]:
-    """Log-uniform values over [1e-99, 1e99), both signs, then values one
-    ulp either side of the 6-digit rounding boundaries (7th digit 5, or the
-    power itself) and of the 7-digit ones (8th digit 5) near each power of
-    ten from 1e-6 to 1e7, then log-uniform values over the normal range,
-    and last 7-digit ties across the normal range with their neighbours
-    one ulp away, which share the tie's %.6e digits but do not read back
-    from them."""
+    """Log-uniform values over sig6's printf window [1e-99, 1e99), both
+    signs, then values one ulp either side of the 6-digit rounding
+    boundaries (7th digit 5, or the power itself) and of the 7-digit ones
+    (8th digit 5, where the 7th-digit guard flips) near each power of ten
+    from 1e-6 to 1e7, then 7-digit ties across the window with their
+    neighbours one ulp away, which share the tie's %.6e digits but do not
+    read back from them."""
     xs = [rng.choice((1, -1)) * 10.0 ** rng.uniform(-99, 99)
           for _ in range(200000)]
     for k in range(-6, 8):
@@ -152,10 +152,8 @@ def _fast_path_window(rng: random.Random) -> list[float]:
             b = m * 10.0 ** k
             for y in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf)):
                 xs += (y, -y)
-    xs += [rng.choice((1, -1)) * 10.0 ** rng.uniform(-307, 308)
-           for _ in range(20000)]
     for _ in range(5000):
-        digits, k = rng.randrange(100000, 1000000), rng.randint(-313, 301)
+        digits, k = rng.randrange(100000, 1000000), rng.randint(-105, 92)
         tie = float(f"{digits}5e{k}")
         assert _is_7_digit_tie(tie)
         for y in (math.nextafter(tie, 0.0), tie,
