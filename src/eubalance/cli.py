@@ -100,6 +100,8 @@ def _fit(ds, regions, series_key: str):
     except OverflowError:
         raise OverflowError(f"fit of series {series_key} overflows the "
                             f"float range") from None
+    except expfit.FitError as exc:
+        raise type(exc)(f"fit of series {series_key}: {exc}") from None
 
 
 # Each command returns its tables as (file stem, table, is_report). A

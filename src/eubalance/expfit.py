@@ -1,11 +1,11 @@
 """Exponential growth model fitting with full regression statistics.
 
-Fits y = alpha * exp(beta * t) by Levenberg-Marquardt with the analytic
-Jacobian [exp(bt), a*t*exp(bt)], initialized from an ordinary least squares
-line through (t, ln|y|). Reports the parameter covariance mse*(J'J)^-1, an
-ANOVA decomposition in the uncorrected-total convention, the determination
-coefficient R^2 = 1 - SSE/SSU, and single-prediction confidence intervals
-that combine residual variance with parameter variance.
+Fits y = alpha * exp(beta * t) by least squares with alpha profiled out: beta
+is a root of d SSR / d beta, searched from the slope of the line through (t,
+ln|y|) and bisected to adjacent floats. Reports the covariance mse*(J'J)^-1
+of the Jacobian [exp(bt), a*t*exp(bt)], an ANOVA decomposition in the
+uncorrected-total convention, R^2 = 1 - SSE/SSU, and single-prediction
+confidence intervals that combine residual variance with parameter variance.
 
 The Student-t quantile needed by every interval is computed here from the
 regularized incomplete beta function; no external statistics library.
@@ -13,13 +13,12 @@ regularized incomplete beta function; no external statistics library.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from collections.abc import Sequence
 from functools import lru_cache
 
 from .dataset import _Frozen
-
-MAX_ITER = 200
-REL_TOL = 1e-12
 
 
 class FitError(Exception):
@@ -27,7 +26,7 @@ class FitError(Exception):
 
 
 class NoConvergence(FitError):
-    """Iteration cap reached before the convergence criteria were met."""
+    """The SSR has no minimum in beta within the bounded search."""
 
 
 class SingularJacobian(FitError):
@@ -176,36 +175,30 @@ def t_quantile(p: float, dof: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Levenberg-Marquardt for y = alpha * exp(beta * t).
+# Least squares for y = alpha * exp(beta * t) with alpha profiled out
+# (variable projection): at a fixed beta the best alpha is closed form, so
+# the fit is the root of g (see _profile) at a minimum of the SSR.
 
-def _ssr(ts: Sequence[float], ys: Sequence[float], a: float, b: float) -> float:
-    return math.fsum((y - a * math.exp(b * t)) ** 2 for t, y in zip(ts, ys))
+def _profile(ts, ys, b):
+    """alpha(b) = sum y e / sum e^2, the best alpha at beta = b, and g(b) =
+    sum (y - alpha(b) e) t e, e = exp(b t): d SSR / d beta = -2 alpha g."""
+    es = [math.exp(b * t) for t in ts]
+    a = math.fsum(map(operator.mul, ys, es)) / math.fsum(e * e for e in es)
+    g = math.fsum([(y - a * e) * t * e for t, y, e in zip(ts, ys, es)])
+    if not math.isfinite(a * g):
+        raise OverflowError("the fit overflows the float range")
+    return a, g
 
 
-def _normal_terms(ts, ys, a, b):
-    """J'J entries and gradient J'r at (a, b), all finite or OverflowError."""
-    e11, e12, e22, f1, f2 = [], [], [], [], []
-    for t, y in zip(ts, ys):
-        j1 = math.exp(b * t)
-        j2 = a * t * j1
-        r = y - a * j1
-        e11.append(j1 * j1)
-        e12.append(j1 * j2)
-        e22.append(j2 * j2)
-        f1.append(j1 * r)
-        f2.append(j2 * r)
-    sums = tuple(map(math.fsum, (e11, e12, e22, f1, f2)))
+def _normal_terms(ts, a, b):
+    """J'J entries at (a, b), all finite or OverflowError."""
+    j1 = [math.exp(b * t) for t in ts]
+    j2 = [a * t * e for t, e in zip(ts, j1)]
+    sums = tuple(math.fsum(map(operator.mul, u, v))
+                 for u, v in ((j1, j1), (j1, j2), (j2, j2)))
     if not all(map(math.isfinite, sums)):
         raise OverflowError("normal equations overflow the float range")
     return sums
-
-
-def _solve2(a11: float, a12: float, a22: float, b1: float, b2: float):
-    det = a11 * a22 - a12 * a12
-    scale = max(abs(a11), abs(a22), abs(a12))
-    if scale == 0.0 or abs(det) < 1e-14 * scale * scale:
-        raise SingularJacobian("normal equations are singular")
-    return (a22 * b1 - a12 * b2) / det, (a11 * b2 - a12 * b1) / det
 
 
 def _log_linear_init(ts, ys):
@@ -220,10 +213,7 @@ def _log_linear_init(ts, ys):
     denom = n * sxx - sx * sx
     if denom == 0.0:
         raise SingularJacobian("degenerate design in initialization")
-    beta = (n * sxy - sx * sy) / denom
-    lna = (sy - beta * sx) / n
-    sign = 1.0 if math.fsum(ys) >= 0.0 else -1.0
-    return sign * math.exp(lna), beta
+    return (n * sxy - sx * sy) / denom
 
 
 def fit_exponential(points: Sequence[tuple[float, float]]) -> ExpFitModel:
@@ -232,41 +222,47 @@ def fit_exponential(points: Sequence[tuple[float, float]]) -> ExpFitModel:
         raise ValueError("need at least 3 points")
     ts = [float(t) for t, _ in points]
     ys = [float(y) for _, y in points]
-    a, b = _log_linear_init(ts, ys)
-    ssr = _ssr(ts, ys, a, b)
-    lam = 1e-3
-    converged = False
-    for _ in range(MAX_ITER):
-        s11, s12, s22, g1, g2 = _normal_terms(ts, ys, a, b)
-        while True:
-            da, db = _solve2(s11 * (1 + lam), s12, s22 * (1 + lam), g1, g2)
-            new_ssr = _ssr(ts, ys, a + da, b + db)
-            if new_ssr <= ssr:
-                break
-            lam *= 10.0
-            if lam > 1e12:
-                # no improving step exists at this scale; stay put
-                da = db = 0.0
-                new_ssr = ssr
-                break
-        rel_p = max(abs(da) / max(abs(a), 1e-300),
-                    abs(db) / max(abs(b), 1e-300))
-        rel_s = abs(ssr - new_ssr) / max(ssr, 1e-300)
-        a, b, ssr = a + da, b + db, new_ssr
-        lam = max(lam / 10.0, 1e-12)
-        if rel_p < REL_TOL and rel_s < REL_TOL:
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(f"no convergence after {MAX_ITER} iterations")
-
     n = len(ts)
+    b = _log_linear_init(ts, ys)  # raises unless two t differ
+    # every e^(2bt), and their sum, is a finite nonzero float for |b| <= limit
+    limit = math.log(sys.float_info.max / n) / (2.0 * max(map(abs, ts)))
+
+    def slope(b):  # half the slope of the SSR in beta, at alpha(b)
+        a, g = _profile(ts, ys, b)
+        return -a * g
+
+    x1 = min(max(b, -limit), limit)
+    f0 = f1 = slope(x1)
+    step = abs(x1) or limit
+    while (f1 < 0.0) == (f0 < 0.0):  # step downhill, doubling the step
+        x0, f0 = x1, f1
+        x1 = max(x0 - step, -limit) if f0 >= 0.0 else min(x0 + step, limit)
+        if x1 == x0:
+            raise NoConvergence(f"no SSR minimum within |beta| <= {limit:.6g}")
+        f1, step = slope(x1), 2.0 * step
+    (lo, flo), (hi, fhi) = sorted(((x0, f0), (x1, f1)))
+    # False position while its point falls strictly inside [lo, hi]; an end
+    # left in place twice running has its value halved (the Illinois rule).
+    moved = None  # True after lo moved, False after hi moved
+    while lo < (x := (lo * fhi - hi * flo) / (fhi - flo)) < hi:
+        if (fx := slope(x)) < 0.0:
+            lo, flo, fhi = x, fx, fhi / 2.0 if moved is True else fhi
+        else:
+            hi, fhi, flo = x, fx, flo / 2.0 if moved is False else flo
+        moved = fx < 0.0
+    b = bisect(slope, lo, hi)
+    a = _profile(ts, ys, b)[0]
+
     dof = n - 2
+    ssr = math.fsum((y - a * math.exp(b * t)) ** 2 for t, y in zip(ts, ys))
     mse = ssr / dof
-    s11, s12, s22, _, _ = _normal_terms(ts, ys, a, b)
-    # mse * (J'J)^-1, one column per solve; the 0.0 terms vanish exactly
-    cov = tuple(zip(_solve2(s11, s12, s22, mse, 0.0),
-                    _solve2(s11, s12, s22, 0.0, mse)))
+    s11, s12, s22 = _normal_terms(ts, a, b)  # s11 > 0 for |b| <= limit
+    det = s11 * s22 - s12 * s12
+    scale = max(s11, s22, abs(s12))
+    if abs(det) < 1e-14 * scale * scale:
+        raise SingularJacobian("normal equations are singular")
+    cov = ((s22 * mse / det, -s12 * mse / det),  # mse * (J'J)^-1
+           (-s12 * mse / det, s11 * mse / det))
 
     ssu = math.fsum(y * y for y in ys)
     ybar = math.fsum(ys) / n

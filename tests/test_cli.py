@@ -434,6 +434,26 @@ class TestExitCodes:
         rc = run(tmp_path, "fit", "--series", "eu9plus")
         assert rc == 4
 
+    @pytest.mark.parametrize("argv, series", (
+        (("fit", "--series", "euro7plus"), "euro7plus"),
+        (("stability", "--scope", "eu"), "eu9plus"),
+    ), ids=("fit", "stability"))
+    @pytest.mark.parametrize("points, message", (
+        ([(t, 1.0 if t == 0 else 1e-9) for t in range(17)],
+         "normal equations are singular"),
+        ([(t, math.exp(30.0 * t - 480.0)) for t in range(17)],
+         "no SSR minimum within |beta| <= 22.0922"),
+    ), ids=("singular", "no-minimum"))
+    def test_fit_error_names_the_series(self, tmp_path, capsys, monkeypatch,
+                                        argv, series, points, message):
+        monkeypatch.setattr(reports, "fit_series_points",
+                            lambda ds, regions, key: points)
+        rc = run(tmp_path, *argv)
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            f"error: fit of series {series}: {message}\n")
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_zero_uncorrected_total_is_exit_4(self, tmp_path, monkeypatch,
                                               capsys):
         def explode(model):

@@ -1,10 +1,12 @@
 """Regression numerics: quantiles, fits, ANOVA, prediction bands."""
 import math
 import random
+import sys
 
 import pytest
 
 import eubalance as eb
+from eubalance import expfit
 from eubalance.expfit import AnovaTable, ExpFitModel, se_single
 
 import golden_values as gv
@@ -74,12 +76,62 @@ class TestFitExact:
             eb.fit_exponential([(0, 1.0), (1, 2.0)])
 
     def test_singular_design(self):
-        with pytest.raises(eb.SingularJacobian):
-            eb.fit_exponential([(1, 2.0), (1, 2.1), (1, 1.9)])
+        for t in (1, 0):  # all at t = 0, no beta would overflow exp(beta t)
+            with pytest.raises(eb.SingularJacobian):
+                eb.fit_exponential([(t, 2.0), (t, 2.1), (t, 1.9)])
 
     def test_all_zero_series(self):
         with pytest.raises(eb.SingularJacobian):
             eb.fit_exponential([(0, 0.0), (1, 0.0), (2, 0.0)])
+
+
+class TestBoundedSearch:
+    """The beta search starts at the log-linear slope and stays where every
+    exp(2 beta t), and their sum, is a finite nonzero float."""
+
+    @pytest.fixture
+    def betas(self, monkeypatch):
+        """The beta of every profile evaluation, in call order."""
+        calls = []
+        profile = expfit._profile
+
+        def counted(ts, ys, b):
+            calls.append(b)
+            return profile(ts, ys, b)
+        monkeypatch.setattr(expfit, "_profile", counted)
+        return calls
+
+    def test_constant_series(self, betas):
+        # log-linear slope 0, where the SSR's slope in beta is exactly 0
+        model = eb.fit_exponential([(t, 3.0) for t in range(17)])
+        assert model.alpha == pytest.approx(3.0, rel=1e-15)
+        assert abs(model.beta) < 1e-15
+        assert model.mse < 1e-30
+
+    def test_minimum_below_resolution_is_a_fit_error(self, betas):
+        # The SSR is least near beta = ln(1e-9), where every exp(beta t)
+        # for t >= 1 vanishes beside the t = 0 term of J'J: a singular fit,
+        # found in a few dozen profile evaluations.
+        with pytest.raises(eb.FitError):
+            eb.fit_exponential([(t, 1.0 if t == 0 else 1e-9)
+                                for t in range(17)])
+        assert betas[-1] == pytest.approx(math.log(1e-9), abs=0.01)
+        assert len(betas) <= 64
+
+    @pytest.mark.parametrize("points", (
+        [(t, 1e6 if t == 100 else 1.0) for t in range(101)],
+        [(t, math.exp(5.0 * t - 500.0)) for t in range(101)],
+    ), ids=("jump-at-the-end", "log-linear-slope-past-the-limit"))
+    def test_minimum_past_the_float_range_is_no_convergence(self, betas,
+                                                            points):
+        # the least-squares beta is about ln(1e6) = 13.8, or 5; exp(2 beta t)
+        # and its sum over t = 0..100 stay finite only for |beta| <= 3.526
+        limit = math.log(sys.float_info.max / 101) / 200.0
+        message = r"no SSR minimum within \|beta\| <= 3\.52584"
+        with pytest.raises(eb.NoConvergence, match=message):
+            eb.fit_exponential(points)
+        assert max(betas) == limit
+        assert len(betas) <= 64
 
 
 class TestFitGoldens:
@@ -140,6 +192,19 @@ class TestFitGoldens:
                 scale = math.fsum(abs(v) for v in terms)
                 assert abs(math.fsum(terms)) <= 1e-8 * scale
 
+    def test_slope_vanishes_at_50_digits(self, models, fit_points):
+        # d SSR / d beta at the fitted (alpha, beta), summed exactly enough
+        # that only the fit's own error shows
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for key in SERIES:
+                a = mpmath.mpf(models[key].alpha)
+                b = mpmath.mpf(models[key].beta)
+                terms = [(y - a * mpmath.exp(b * t)) * a * t
+                         * mpmath.exp(b * t) for t, y in fit_points[key]]
+                scale = mpmath.fsum(abs(v) for v in terms)
+                assert abs(mpmath.fsum(terms)) <= 1e-14 * scale, key
+
     def test_perturbation_does_not_improve(self, models, fit_points):
         for key in SERIES:
             model = models[key]
@@ -175,7 +240,8 @@ class TestFitGoldens:
 
 class TestFitOracle:
     """fit_exponential against scipy on seeded alpha * exp(beta * t) plus
-    Gaussian noise, t = 0..16, with the bundled oracle's bounds."""
+    Gaussian noise, t = 0..16, with the bundled oracle's bounds. beta is
+    drawn from [-0.35, 0.35], so the search runs both up and down."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_least_squares_on_generated_series(self, seed):
@@ -185,7 +251,7 @@ class TestFitOracle:
         t = np.arange(17, dtype=float)
         for _ in range(200):
             alpha = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 3.0)
-            beta = rng.uniform(0.05, 0.35)
+            beta = rng.uniform(-0.35, 0.35)
             sigma = 0.05 * abs(alpha) * math.exp(8.0 * beta)
             points = [(float(ti), alpha * math.exp(beta * ti)
                        + rng.gauss(0.0, sigma)) for ti in t]
