@@ -74,9 +74,15 @@ def _check_config(parser: argparse.ArgumentParser,
         parser.error(f"--out {args.out}: {existing} is not a directory")
     for flag in ("level", "band_level"):
         value = getattr(args, flag, None)
-        if value is not None and not 0.0 < value < 1.0:
-            parser.error(f"--{flag.replace('_', '-')} must lie in (0, 1), "
-                         f"got {value}")
+        if value is None:
+            continue
+        name = "--" + flag.replace("_", "-")
+        if not 0.0 < value < 1.0:
+            parser.error(f"{name} must lie in (0, 1), got {value}")
+        # the two-sided quantile is taken at 1 - (1 - level) / 2
+        if 1.0 - (1.0 - value) / 2.0 == 1.0:
+            parser.error(f"{name} {value} is too close to 1 for a two-sided "
+                         f"interval")
 
 
 def _load(args: argparse.Namespace):

@@ -142,9 +142,9 @@ def parse_table(raw_text: str) -> dict[tuple[str, int], float]:
     cells = ",\n".join(lines).split(",")
     if (len(cells) == 3 * len(lines)
             and "".join(cells[3::3]).count("\n") == len(lines) - 1):
-        countries = list(map(str.strip, cells[0::3]))
+        countries = _shared(str.strip, cells[0::3])
         try:
-            years = list(map(int, cells[1::3]))
+            years = _shared(int, cells[1::3])
             values = list(map(float, cells[2::3]))
         except ValueError:
             pass
@@ -153,6 +153,17 @@ def parse_table(raw_text: str) -> dict[tuple[str, int], float]:
             if all(map(math.isfinite, values)) and len(table) == len(lines):
                 return table
     _raise_first_bad_line(body)
+
+
+def _shared(convert, cells: list[str]) -> list:
+    """convert(cell) for each cell, converted once per distinct cell, with
+    one object for each distinct result."""
+    atoms: dict = {}
+    memo = {}
+    for cell in set(cells):
+        atom = convert(cell)
+        memo[cell] = atoms.setdefault(atom, atom)
+    return list(map(memo.__getitem__, cells))
 
 
 def _raise_first_bad_line(body: str) -> None:

@@ -106,6 +106,26 @@ def _bands(model: ExpFitModel, q: float, t: float) -> tuple[float, float]:
     return pred - spread, pred + spread
 
 
+def _band_pass(model: ExpFitModel, q: float, lo: float, hi: float,
+               steps: int):
+    """(t, lower, upper) at t = lo + (hi - lo) * k / steps, k = 0..steps.
+
+    Each bound is the one _bands gives, from the same operations in the
+    same order, but with exp(beta * t) taken once per point and shared by
+    the prediction and se_single's gradient.
+    """
+    a, b, mse = model.alpha, model.beta, model.mse
+    (c00, c01), (c10, c11) = model.cov
+    for k in range(steps + 1):
+        t = lo + (hi - lo) * k / steps
+        e = math.exp(b * t)
+        pred = a * e
+        g2 = a * t * e
+        spread = q * math.sqrt(mse + (e * (c00 * e + c01 * g2)
+                                      + g2 * (c10 * e + c11 * g2)))
+        yield t, pred - spread, pred + spread
+
+
 def band_envelope(model: ExpFitModel, t: float,
                   band_level: float) -> tuple[float, float]:
     """Single-prediction confidence band bounds of one model at t."""
@@ -153,18 +173,23 @@ def uncertainty_interval(analysis: GapAnalysis,
     lo, hi = tp.t0 - BRACKET_HALF_WIDTH, tp.t0 + BRACKET_HALF_WIDTH
     steps = int(round((hi - lo) / SCAN_STEP))
     roots: list[float] = []
-    prev_t, prev = lo, ()  # the first point has nothing to compare with
-    for k in range(steps + 1):
-        t = lo + (hi - lo) * k / steps
-        s_lo, s_hi = _bands(s, q_s, t)
-        d_lo, d_hi = _bands(d, q_d, t)
-        values = (s_hi - level, s_lo - level, -d_lo - level, -d_hi - level)
-        for band, v0, v in zip(bands, prev, values):
-            if v0 == 0.0:
-                roots.append(prev_t)
-            elif v0 * v < 0.0:
-                roots.append(_crossing(band, level, prev_t, t))
-        prev_t, prev = t, values
+    # the first point has nothing to compare with
+    prev_t, prev, prev_sides = lo, (), ()
+    for (t, s_lo, s_hi), (_, d_lo, d_hi) in zip(
+            _band_pass(s, q_s, lo, hi, steps),
+            _band_pass(d, q_d, lo, hi, steps)):
+        values = v1, v2, v3, v4 = (s_hi - level, s_lo - level,
+                                   -d_lo - level, -d_hi - level)
+        sides = (v1 > 0.0, v2 > 0.0, v3 > 0.0, v4 > 0.0)
+        # a root needs v0 == 0.0, or v0 * v < 0.0 with v0 and v on opposite
+        # sides of zero: test only where a side changes or a v0 is zero
+        if sides != prev_sides or 0.0 in prev:
+            for band, v0, v in zip(bands, prev, values):
+                if v0 == 0.0:
+                    roots.append(prev_t)
+                elif v0 * v < 0.0:
+                    roots.append(_crossing(band, level, prev_t, t))
+        prev_t, prev, prev_sides = t, values, sides
     if not roots:
         raise RootNotBracketed(
             f"no band attains the level {level:.6g} in "

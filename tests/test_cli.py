@@ -225,6 +225,25 @@ class TestExitCodes:
             run(tmp_path, "fit", "--series", "eu9plus", "--level", "1.5")
         assert exc.value.code == 2
 
+    # One float lower the level passes the check: the fit runs, and the
+    # stability bands are too wide to reach the turning-point level.
+    @pytest.mark.parametrize("argv, flag, lower_code", (
+        (("fit", "--series", "eu9plus", "--level"), "--level", 0),
+        (("stability", "--scope", "eu", "--band-level"), "--band-level", 5)))
+    def test_level_too_close_to_one_is_config_error(self, tmp_path, capsys,
+                                                    argv, flag, lower_code):
+        # the largest float below 1: 1 - (1 - level) / 2 rounds to 1.0
+        level = math.nextafter(1.0, 0.0)
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *argv, repr(level))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: {flag} {level!r} is too close to 1 for a two-sided "
+            f"interval\n")
+        assert list(tmp_path.iterdir()) == []
+        assert run(tmp_path, *argv,
+                   repr(math.nextafter(level, 0.0))) == lower_code
+
     def test_validation_failure_is_exit_3(self, tmp_path):
         data = tmp_path / "data"
         data.mkdir()

@@ -167,6 +167,24 @@ class TestBulkParse:
 
         check()
 
+    def test_equal_atoms_are_shared(self):
+        # one str per code and one int per year, however each cell is
+        # padded or spelled
+        text = ("country,year,value\nDE,1999,1\n DE ,2001,2\n"
+                "FR, 1999 ,3\nFR,02001,4\n\tDE\t,2000,5\n")
+        keys = list(parse_table(text))
+        assert keys == [("DE", 1999), ("DE", 2001), ("FR", 1999),
+                        ("FR", 2001), ("DE", 2000)]
+        for i, j in ((0, 1), (1, 4), (2, 3)):
+            assert keys[i][0] is keys[j][0]
+        for i, j in ((0, 2), (1, 3)):
+            assert keys[i][1] is keys[j][1]
+        gdp = parse_table(Path(eb.__file__).with_name("data").joinpath(
+            "gdp.csv").read_text(encoding="utf-8"))
+        for field in (0, 1):
+            atoms = {key[field] for key in gdp}
+            assert len({id(key[field]) for key in gdp}) == len(atoms)
+
 
 class TestAssemble:
     def test_conversion_and_identity(self):

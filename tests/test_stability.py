@@ -384,3 +384,83 @@ class TestBandReference:
     def test_toy_pairs_match_reference(self, band_level, monkeypatch):
         for analysis in _toy_pairs():
             self._check(analysis, band_level, monkeypatch)
+
+
+# The scan evaluates the bands in one pass per fit and runs the root test
+# only where a band changes side of the level or sits on it.
+
+SCAN_LEVELS = tuple(sorted(random.Random(1820).uniform(0.5, 0.999)
+                           for _ in range(24)))
+
+
+def _scan_grid(analysis, band_level):
+    """The level and, at each scan grid point, t with the four band curves
+    of uncertainty_interval, each from band_envelope."""
+    tp = eb.turning_points(analysis)
+    lo = tp.t0 - stability.BRACKET_HALF_WIDTH
+    hi = tp.t0 + stability.BRACKET_HALF_WIDTH
+    steps = int(round((hi - lo) / stability.SCAN_STEP))
+    grid = []
+    for k in range(steps + 1):
+        t = lo + (hi - lo) * k / steps
+        s_lo, s_hi = band_envelope(analysis.surplus_model, t, band_level)
+        d_lo, d_hi = band_envelope(analysis.deficit_model, t, band_level)
+        grid.append((t, (s_hi, s_lo, -d_lo, -d_hi)))
+    return tp.level, grid
+
+
+class TestScan:
+    @pytest.mark.parametrize("band_level", SCAN_LEVELS)
+    def test_seeded_levels_match_reference(self, analyses, band_level):
+        for analysis in analyses.values():
+            iv = eb.uncertainty_interval(analysis, band_level)
+            assert (iv.t_m, iv.t_M) == _reference_interval(analysis,
+                                                           band_level)
+
+    @pytest.mark.parametrize("band_level", (0.5, 0.99))
+    def test_pass_matches_band_envelope(self, analyses, band_level):
+        pairs = [*analyses.values(), _toy_pairs()[15]]
+        for analysis in pairs:
+            level, grid = _scan_grid(analysis, band_level)
+            tp = eb.turning_points(analysis)
+            lo = tp.t0 - stability.BRACKET_HALF_WIDTH
+            hi = tp.t0 + stability.BRACKET_HALF_WIDTH
+            for model in (analysis.surplus_model, analysis.deficit_model):
+                q = eb.t_quantile(1.0 - (1.0 - band_level) / 2.0, model.dof)
+                got = list(stability._band_pass(model, q, lo, hi,
+                                                len(grid) - 1))
+                assert got == [(t, *band_envelope(model, t, band_level))
+                               for t, _ in grid]
+
+    @pytest.mark.parametrize("band_level", (0.5, 0.99))
+    def test_band_on_level_at_grid_point(self, band_level):
+        # t0 = 0 is a grid point; with no variance every band passes
+        # through the level there, and the root is that grid point
+        analysis = _toy_pairs()[0]
+        level, grid = _scan_grid(analysis, band_level)
+        assert [t for t, values in grid if level in values] == [0.0]
+        iv = eb.uncertainty_interval(analysis, band_level)
+        assert (iv.t_m, iv.t_M) == (0.0, 0.0) == _reference_interval(
+            analysis, band_level)
+
+    @pytest.mark.parametrize("band_level", (0.5, 0.99))
+    def test_two_bands_change_side_in_one_cell(self, band_level):
+        analysis = _toy_pairs()[15]
+        level, grid = _scan_grid(analysis, band_level)
+        changes = [sum((v0 > level) != (v > level)
+                       for v0, v in zip(prev, values))
+                   for (_, prev), (_, values) in zip(grid, grid[1:])]
+        assert max(changes) >= 2
+        assert not any(level in values for _, values in grid)
+        iv = eb.uncertainty_interval(analysis, band_level)
+        assert (iv.t_m, iv.t_M) == _reference_interval(analysis, band_level)
+
+    def test_se_single_only_refines_crossings(self, analyses, monkeypatch):
+        real = stability.se_single
+        for analysis in analyses.values():
+            calls = []
+            monkeypatch.setattr(stability, "se_single",
+                                lambda model, t: calls.append(t) or real(
+                                    model, t))
+            eb.uncertainty_interval(analysis, 0.99)
+            assert 0 < len(calls) < 3001
