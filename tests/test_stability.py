@@ -421,7 +421,7 @@ class TestScan:
     def test_pass_matches_band_envelope(self, analyses, band_level):
         pairs = [*analyses.values(), _toy_pairs()[15]]
         for analysis in pairs:
-            level, grid = _scan_grid(analysis, band_level)
+            _, grid = _scan_grid(analysis, band_level)
             tp = eb.turning_points(analysis)
             lo = tp.t0 - stability.BRACKET_HALF_WIDTH
             hi = tp.t0 + stability.BRACKET_HALF_WIDTH
