@@ -76,13 +76,10 @@ def _check_config(parser: argparse.ArgumentParser,
         value = getattr(args, flag, None)
         if value is None:
             continue
-        name = "--" + flag.replace("_", "-")
-        if not 0.0 < value < 1.0:
-            parser.error(f"{name} must lie in (0, 1), got {value}")
-        # the two-sided quantile is taken at 1 - (1 - level) / 2
-        if 1.0 - (1.0 - value) / 2.0 == 1.0:
-            parser.error(f"{name} {value} is too close to 1 for a two-sided "
-                         f"interval")
+        try:
+            expfit._two_sided(value, "--" + flag.replace("_", "-"))
+        except ValueError as exc:
+            parser.error(str(exc))
 
 
 def _load(args: argparse.Namespace):

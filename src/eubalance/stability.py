@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from .dataset import _Frozen
-from .expfit import ExpFitModel, bisect, se_single, t_quantile
+from .expfit import ExpFitModel, _two_sided, bisect, se_single, t_quantile
 
 DEFAULT_BAND_LEVEL = 0.99
 BRACKET_HALF_WIDTH = 15.0
@@ -129,20 +129,7 @@ def _band_pass(model: ExpFitModel, q: float, lo: float, hi: float,
 def band_envelope(model: ExpFitModel, t: float,
                   band_level: float) -> tuple[float, float]:
     """Single-prediction confidence band bounds of one model at t."""
-    if not 0.0 < band_level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {band_level}")
-    return _bands(model, t_quantile(1.0 - (1.0 - band_level) / 2.0,
-                                    model.dof), t)
-
-
-def _crossing(band, level: float, lo: float, hi: float) -> float:
-    """The crossing of band(t) = level in [lo, hi]: bisect, then polish."""
-    x = bisect(lambda u: band(u) - level, lo, hi)
-    h = 1e-7
-    slope = (band(x + h) - band(x - h)) / (2.0 * h)
-    if slope != 0.0:
-        x -= (band(x) - level) / slope
-    return x
+    return _bands(model, t_quantile(_two_sided(band_level), model.dof), t)
 
 
 def uncertainty_interval(analysis: GapAnalysis,
@@ -154,22 +141,24 @@ def uncertainty_interval(analysis: GapAnalysis,
     intersected with the horizontal line at the turning-point level. Bands
     that never reach the level inside [t0 - 15, t0 + 15] contribute no
     root; the interval spans the earliest and latest of the roots found.
-    One scan with step SCAN_STEP brackets the crossings of all four bands.
+    One scan with step SCAN_STEP brackets the crossings of all four bands:
+    a band on the level at a grid point crosses there, and any other
+    crossing is bisect's float-adjacent root of band - level in its cell.
     """
-    if not 0.0 < band_level < 1.0:
-        raise ValueError(f"band_level must lie in (0, 1), got {band_level}")
+    p = _two_sided(band_level, "band_level")
     if analysis.d <= analysis.b:
         raise NoIntersection(
             f"deficit rate d = {analysis.d:.6g} does not exceed surplus "
             f"rate b = {analysis.b:.6g}: deficits never overtake surpluses")
     tp = turning_points(analysis)
     s, d = analysis.surplus_model, analysis.deficit_model
-    q_s = t_quantile(1.0 - (1.0 - band_level) / 2.0, s.dof)
-    q_d = t_quantile(1.0 - (1.0 - band_level) / 2.0, d.dof)
-    # the four band curves measured on the positive (magnitude) axis
-    bands = (lambda t: _bands(s, q_s, t)[1], lambda t: _bands(s, q_s, t)[0],
-             lambda t: -_bands(d, q_d, t)[0], lambda t: -_bands(d, q_d, t)[1])
+    q_s, q_d = t_quantile(p, s.dof), t_quantile(p, d.dof)
     level = tp.level
+    # the four band curves on the positive (magnitude) axis, less the level
+    bands = (lambda t: _bands(s, q_s, t)[1] - level,
+             lambda t: _bands(s, q_s, t)[0] - level,
+             lambda t: -_bands(d, q_d, t)[0] - level,
+             lambda t: -_bands(d, q_d, t)[1] - level)
     lo, hi = tp.t0 - BRACKET_HALF_WIDTH, tp.t0 + BRACKET_HALF_WIDTH
     steps = int(round((hi - lo) / SCAN_STEP))
     roots: list[float] = []
@@ -188,7 +177,7 @@ def uncertainty_interval(analysis: GapAnalysis,
                 if v0 == 0.0:
                     roots.append(prev_t)
                 elif v0 * v < 0.0:
-                    roots.append(_crossing(band, level, prev_t, t))
+                    roots.append(bisect(band, prev_t, t))
         prev_t, prev, prev_sides = t, values, sides
     if not roots:
         raise RootNotBracketed(

@@ -7,7 +7,7 @@ import pytest
 
 import eubalance as eb
 from eubalance import expfit
-from eubalance.expfit import AnovaTable, ExpFitModel, se_single
+from eubalance.expfit import AnovaTable, ExpFitModel, bisect, se_single
 
 import golden_values as gv
 
@@ -54,6 +54,58 @@ class TestTQuantile:
             eb.t_quantile(1.0, 5)
         with pytest.raises(ValueError):
             eb.t_quantile(0.9, 0)
+
+
+class TestBisect:
+    """bisect ends at the float-adjacent sign change of its function, a
+    zero counting as non-negative, whichever end of the bracket is the
+    negative one."""
+
+    @staticmethod
+    def _property(size):
+        """Runs a check on `size` sorted distinct floats and two booleans."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        points = st.lists(st.floats(-1e300, 1e300), min_size=size,
+                          max_size=size, unique=True).map(sorted)
+        settings = hypothesis.settings(max_examples=1000, deadline=None,
+                                       database=None, derandomize=True)
+        return lambda check: settings(hypothesis.given(
+            points, st.booleans(), st.booleans())(check))
+
+    def test_line_root_within_one_float(self):
+        @self._property(3)
+        def check(points, rising, at_end):
+            lo, mid, hi = points
+            # the sign changes between c and the float below it on a rising
+            # line, between c and the float above it on a falling one
+            if rising:
+                c = hi if at_end else mid
+                x = bisect(lambda v: v - c, lo, hi)
+                assert x in (math.nextafter(c, -math.inf), c)
+            else:
+                c = lo if at_end else mid
+                x = bisect(lambda v: c - v, lo, hi)
+                assert x in (c, math.nextafter(c, math.inf))
+
+        check()
+
+    def test_run_of_zeros_ends_at_its_edge(self):
+        @self._property(4)
+        def check(points, rising, _):
+            lo, a, b, hi = points
+
+            def ramp(v):  # exact zeros on [a, b]
+                return v - a if v < a else v - b if v > b else 0.0
+
+            if rising:
+                x = bisect(ramp, lo, hi)
+                assert x in (math.nextafter(a, -math.inf), a)
+            else:
+                x = bisect(lambda v: -ramp(v), lo, hi)
+                assert x in (b, math.nextafter(b, math.inf))
+
+        check()
 
 
 class TestFitExact:
@@ -308,6 +360,24 @@ class TestPredict:
             eb.predict(models["eu9plus"], 1.0, level=1.0)
         with pytest.raises(ValueError):
             eb.param_confidence_interval(models["eu9plus"], 0.0)
+
+    def test_level_too_close_to_one_is_named(self, models, analyses):
+        # 1 - (1 - level) / 2 rounds to 1.0 here, which t_quantile rejects
+        # as "p must lie in (0, 1), got 1.0"; each entry point names the
+        # level instead
+        level = math.nextafter(1.0, 0.0)
+        model, analysis = models["eu9plus"], analyses["eu"]
+        for call, name in (
+                (lambda: eb.predict(model, 1.0, level=level), "level"),
+                (lambda: eb.param_confidence_interval(model, level),
+                 "level"),
+                (lambda: eb.band_envelope(model, 1.0, level), "level"),
+                (lambda: eb.uncertainty_interval(analysis, level),
+                 "band_level")):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == (f"{name} {level!r} is too close to 1 "
+                                       f"for a two-sided interval")
 
 
 class TestDegenerate:
