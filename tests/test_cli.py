@@ -461,7 +461,7 @@ class TestExitCodes:
         ([(t, 1.0 if t == 0 else 1e-9) for t in range(17)],
          "normal equations are singular"),
         ([(t, math.exp(30.0 * t - 480.0)) for t in range(17)],
-         "no SSR minimum within |beta| <= 22.0922"),
+         "dSSR/dbeta shows no sign change within |beta| <= 22.0922"),
     ), ids=("singular", "no-minimum"))
     def test_fit_error_names_the_series(self, tmp_path, capsys, monkeypatch,
                                         argv, series, points, message):

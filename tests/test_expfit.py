@@ -42,10 +42,59 @@ class TestTQuantile:
                     failures.append((p, dof, got, want))
         assert failures == []
 
+    def test_mpmath_oracle_near_the_median(self):
+        # a 40-digit root of P(0 < T < |x|) = |p - 0.5|: near the median
+        # dof / (dof + x^2) rounds x^2 away, and only x^2 / (dof + x^2),
+        # the argument taken here, resolves x
+        mpmath = pytest.importorskip("mpmath")
+        ps = [0.5 + s * 10.0 ** -k for k in range(1, 13) for s in (1, -1)]
+        failures = []
+        with mpmath.workdps(40):
+            for dof in (1, 2, 3, 5, 15, 100):
+                for p in ps + [0.50011, 0.5002]:
+                    got = eb.t_quantile(p, dof)
+                    centre = abs(mpmath.mpf(p) - 0.5)
+
+                    def gap(x):
+                        z = x * x / (dof + x * x)
+                        return mpmath.betainc(0.5, dof / 2, 0, z,
+                                              regularized=True) / 2 - centre
+                    want = mpmath.findroot(gap, (abs(got) * 0.99,
+                                                 abs(got) * 1.01))
+                    if (p > 0.5) != (got > 0) or abs(
+                            abs(got) - want) > 1e-13 * want:
+                        failures.append((p, dof, got, float(want)))
+        assert failures == []
+
     def test_monotone_in_p(self):
         qs = [eb.t_quantile(p, 11) for p in (0.6, 0.7, 0.8, 0.9, 0.99)]
         assert qs == sorted(qs)
         assert all(q > 0 for q in qs)
+
+    def test_monotone_near_the_median(self):
+        # p from 1e-14 to 0.4 either side of the median, across p = 0.25
+        # and 0.75, where the centre and tail inversions meet; offsets of
+        # 4 significant digits keep neighbours apart by more than the
+        # quantile's own error (adjacent floats near 0.25 may swap)
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        offsets = st.builds(lambda m, e: m * 10.0 ** -e,
+                            st.integers(1000, 9999), st.integers(4, 17))
+        offsets = offsets.filter(lambda d: 1e-14 <= d <= 0.4)
+        probabilities = st.one_of(offsets.map(lambda d: 0.5 + d),
+                                  offsets.map(lambda d: 0.5 - d),
+                                  st.sampled_from((0.25, 0.75)))
+
+        @hypothesis.settings(max_examples=500, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(st.lists(probabilities, min_size=2, max_size=8,
+                                   unique=True).map(sorted),
+                          st.integers(1, 200))
+        def check(ps, dof):
+            qs = [eb.t_quantile(p, dof) for p in ps]
+            assert qs == sorted(qs)
+
+        check()
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -179,11 +228,22 @@ class TestBoundedSearch:
         # the least-squares beta is about ln(1e6) = 13.8, or 5; exp(2 beta t)
         # and its sum over t = 0..100 stay finite only for |beta| <= 3.526
         limit = math.log(sys.float_info.max / 101) / 200.0
-        message = r"no SSR minimum within \|beta\| <= 3\.52584"
+        message = (r"dSSR/dbeta shows no sign change within "
+                   r"\|beta\| <= 3\.52584")
         with pytest.raises(eb.NoConvergence, match=message):
             eb.fit_exponential(points)
         assert max(betas) == limit
         assert len(betas) <= 64
+
+    def test_slope_lost_in_rounding_is_named_as_such(self):
+        # the least-squares beta, 21.5, lies inside the limit, but terms
+        # differ by factors of e^21.5: the largest residual's rounding
+        # swamps the slope from the rest, and no sign change is seen
+        points = [(t, math.exp(21.5 * t - 344.0)) for t in range(17)]
+        message = (r"^dSSR/dbeta shows no sign change within "
+                   r"\|beta\| <= 22\.0922$")
+        with pytest.raises(eb.NoConvergence, match=message):
+            eb.fit_exponential(points)
 
 
 class TestFitGoldens:
