@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Iterable, Sequence
 
-from .dataset import BASE_YEAR, Dataset, MissingGdp, _Frozen
+from .dataset import _DATA, BASE_YEAR, Dataset, MissingGdp, _Frozen
 
 KINDS = ("CAB", "GGB", "PSB", "GDP")
 MODES = ("annual", "cumulative")
@@ -163,18 +164,7 @@ def average_rate(series: Sequence[tuple[float, float]]) -> float:
 def load_regions(path) -> dict[str, RegionDefinition]:
     """Region definitions from a JSON object mapping name to code list."""
     with open(path, encoding="utf-8") as fh:
-        return _regions(fh.read())
-
-
-def bundled_regions() -> dict[str, RegionDefinition]:
-    """The packaged region groupings."""
-    from importlib.resources import files
-
-    return _regions(files("eubalance").joinpath("data/regions.json")
-                    .read_text(encoding="utf-8"))
-
-
-def _regions(text: str) -> dict[str, RegionDefinition]:
+        text = fh.read()
     try:
         raw = json.loads(text)
     except RecursionError:
@@ -188,3 +178,8 @@ def _regions(text: str) -> dict[str, RegionDefinition]:
             raise ValueError(f"region {name!r} must map to a list of codes")
         out[name] = RegionDefinition(name, frozenset(codes))
     return out
+
+
+def bundled_regions() -> dict[str, RegionDefinition]:
+    """The packaged region groupings."""
+    return load_regions(os.path.join(_DATA, "regions.json"))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gc
 import math
+import os
 from collections.abc import Mapping
 from types import MappingProxyType
 
@@ -22,6 +23,9 @@ PLAIN_CSV_HEADER = ("country", "year", "value")
 
 # The input file names, in the argument order of load_files.
 INPUT_FILES = ("gdp.csv", "cab_pct.csv", "ggb.csv")
+
+# The package's own data files, read as any user file is.
+_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 _Column = Mapping[tuple[str, int], float]
 
@@ -229,16 +233,12 @@ def assemble(gdp: _Column, cab_pct: _Column, ggb: _Column) -> Dataset:
 
 def load_files(gdp_path, cab_pct_path, ggb_path) -> Dataset:
     """Assemble a dataset from three plain-csv files."""
-    return _load(_read_file, (gdp_path, cab_pct_path, ggb_path))
+    return _load((gdp_path, cab_pct_path, ggb_path))
 
 
 def load_bundled() -> Dataset:
     """The packaged EU-27 1995-2011 reference dataset."""
-    from importlib.resources import files
-
-    data = files("eubalance").joinpath("data")
-    return _load(lambda name: data.joinpath(name).read_text(encoding="utf-8"),
-                 INPUT_FILES)
+    return _load(os.path.join(_DATA, name) for name in INPUT_FILES)
 
 
 def _read_file(path) -> str:
@@ -246,8 +246,8 @@ def _read_file(path) -> str:
         return fh.read()
 
 
-def _load(read, sources) -> Dataset:
-    """Read and parse each source in turn, then assemble them, with the
+def _load(paths) -> Dataset:
+    """Read and parse each file in turn, then assemble them, with the
     cyclic collector paused.
 
     A load builds only acyclic objects (tuples and dicts of atoms),
@@ -258,7 +258,7 @@ def _load(read, sources) -> Dataset:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        parts = [parse_table(read(source)) for source in sources]
+        parts = [parse_table(_read_file(path)) for path in paths]
         return assemble(*parts)
     finally:
         if enabled:

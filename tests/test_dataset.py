@@ -393,3 +393,13 @@ class TestLoadPath:
                                       encoding="utf-8")
         reloaded = eb.load_files(*(again / n for n in INPUT_FILES))
         assert _columns(reloaded) == _columns(loaded)
+
+    def test_bundled_loaders_agree_with_the_file_loaders(self, tmp_path,
+                                                         monkeypatch):
+        # the package's files are found from any working directory and
+        # read as --data-dir and --regions files are
+        monkeypatch.chdir(tmp_path)
+        assert eb.bundled_regions() == eb.load_regions(
+            BUNDLED_DATA / "regions.json")
+        assert _columns(eb.load_bundled()) == _columns(
+            eb.load_files(*(BUNDLED_DATA / n for n in INPUT_FILES)))

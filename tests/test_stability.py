@@ -256,6 +256,17 @@ class TestUncertaintyInterval:
         with pytest.raises(eb.RootNotBracketed):
             eb.uncertainty_interval(analysis, 0.99)
 
+    def test_scan_window_lost_in_rounding(self):
+        # t0 is about 7.68e34, so t0 - 15 and t0 + 15 both round to t0
+        analysis = _toy_analysis(2.0, 1e-20, 1.0, 1e-20 * (1 + 2**-50),
+                                 mse_s=1.0, mse_d=1.0)
+        t0 = eb.turning_points(analysis).t0
+        assert t0 - stability.BRACKET_HALF_WIDTH == t0
+        with pytest.raises(eb.RootNotBracketed) as info:
+            eb.uncertainty_interval(analysis, 0.99)
+        assert str(info.value) == (f"no band attains the level inf in "
+                                   f"[{t0:.6g}, {t0:.6g}]")
+
 
 def _bands_at(model, t, band_level):
     lo, hi = band_envelope(model, t, band_level)
@@ -384,7 +395,8 @@ class TestBandReference:
 # The scan evaluates the bands in one pass per fit and runs the root test
 # only where a band changes side of the level or sits on it.
 
-SCAN_LEVELS = tuple(sorted(random.Random(1820).uniform(0.5, 0.999)
+_LEVEL_RNG = random.Random(1820)
+SCAN_LEVELS = tuple(sorted(_LEVEL_RNG.uniform(0.5, 0.999)
                            for _ in range(24)))
 
 
