@@ -15,6 +15,7 @@ import gc
 import math
 import os
 from collections.abc import Mapping
+from functools import lru_cache
 from types import MappingProxyType
 
 BASE_YEAR = 1995
@@ -133,7 +134,16 @@ def parse_table(raw_text: str) -> dict[tuple[str, int], float]:
 
     The body is converted column by column; on any anomaly
     :func:`_raise_first_bad_line` raises the first bad line's error.
+    The tables of the last len(INPUT_FILES) texts parsed, one load's
+    worth, are kept under the text itself, so a text with the same bytes
+    as one of them is not parsed again. Each call returns a new dict,
+    and a bad text raises its error on every call.
     """
+    return dict(_parse(raw_text))
+
+
+@lru_cache(maxsize=len(INPUT_FILES))
+def _parse(raw_text: str) -> dict[tuple[str, int], float]:
     header, _, body = raw_text.partition("\n")
     header = header.strip()
     if tuple(h.strip() for h in header.split(",")) != PLAIN_CSV_HEADER:
@@ -202,8 +212,8 @@ def assemble(gdp: _Column, cab_pct: _Column, ggb: _Column) -> Dataset:
     GDP, and the derived values must be finite. Each check names its
     smallest bad key.
     """
-    missing = (cab_pct.keys() | ggb.keys()) - gdp.keys()
-    if missing:
+    if not (cab_pct.keys() <= gdp.keys() and ggb.keys() <= gdp.keys()):
+        missing = (cab_pct.keys() | ggb.keys()) - gdp.keys()
         raise MissingGdp(f"balance present without GDP for {min(missing)}")
     bad = min((key for key, g in gdp.items() if not g > 0), default=None)
     if bad is not None:
@@ -253,7 +263,7 @@ def _load(paths) -> Dataset:
     A load builds only acyclic objects (tuples and dicts of atoms),
     which reference counting frees, so the collector could only
     traverse them. The caller's collector state is restored, enabled or
-    disabled. One raw text is alive at a time.
+    disabled.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -151,6 +151,10 @@ def uncertainty_interval(analysis: GapAnalysis,
             f"deficit rate d = {analysis.d:.6g} does not exceed surplus "
             f"rate b = {analysis.b:.6g}: deficits never overtake surpluses")
     tp = turning_points(analysis)
+    if not math.isfinite(tp.level):
+        raise RootNotBracketed(
+            f"the turning-point level overflows the float range at "
+            f"t0 = {tp.t0:.6g}")
     s, d = analysis.surplus_model, analysis.deficit_model
     q_s, q_d = t_quantile(p, s.dof), t_quantile(p, d.dof)
     level = tp.level
@@ -165,21 +169,25 @@ def uncertainty_interval(analysis: GapAnalysis,
     if steps:  # else t0 +- BRACKET_HALF_WIDTH rounds to t0: nothing to scan
         # the first point has nothing to compare with
         prev_t, prev, prev_sides = lo, (), ()
-        for (t, s_lo, s_hi), (_, d_lo, d_hi) in zip(
-                _band_pass(s, q_s, lo, hi, steps),
-                _band_pass(d, q_d, lo, hi, steps)):
-            values = v1, v2, v3, v4 = (s_hi - level, s_lo - level,
-                                       -d_lo - level, -d_hi - level)
-            sides = (v1 > 0.0, v2 > 0.0, v3 > 0.0, v4 > 0.0)
-            # a root needs v0 == 0.0, or v0 and v on opposite sides of
-            # zero: test only where a side changes or a v0 is zero
-            if sides != prev_sides or 0.0 in prev:
-                for band, v0, v in zip(bands, prev, values):
-                    if v0 == 0.0:
-                        roots.append(prev_t)
-                    elif v0 * v < 0.0:
-                        roots.append(bisect(band, prev_t, t))
-            prev_t, prev, prev_sides = t, values, sides
+        try:
+            for (t, s_lo, s_hi), (_, d_lo, d_hi) in zip(
+                    _band_pass(s, q_s, lo, hi, steps),
+                    _band_pass(d, q_d, lo, hi, steps)):
+                values = v1, v2, v3, v4 = (s_hi - level, s_lo - level,
+                                           -d_lo - level, -d_hi - level)
+                sides = (v1 > 0.0, v2 > 0.0, v3 > 0.0, v4 > 0.0)
+                # a root needs v0 == 0.0, or v0 and v on opposite sides of
+                # zero: test only where a side changes or a v0 is zero
+                if sides != prev_sides or 0.0 in prev:
+                    for band, v0, v in zip(bands, prev, values):
+                        if v0 == 0.0:
+                            roots.append(prev_t)
+                        elif v0 * v < 0.0:
+                            roots.append(bisect(band, prev_t, t))
+                prev_t, prev, prev_sides = t, values, sides
+        except OverflowError:
+            raise OverflowError(f"bands overflow the float range in "
+                                f"[{lo:.6g}, {hi:.6g}]") from None
     if not roots:
         raise RootNotBracketed(
             f"no band attains the level {level:.6g} in "

@@ -3,6 +3,7 @@ import contextlib
 import gc
 import io
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -403,3 +404,52 @@ class TestLoadPath:
             BUNDLED_DATA / "regions.json")
         assert _columns(eb.load_bundled()) == _columns(
             eb.load_files(*(BUNDLED_DATA / n for n in INPUT_FILES)))
+
+
+class TestParseMemo:
+    """parse_table keeps the tables of the last texts it parsed."""
+
+    def test_each_call_returns_a_new_dict(self):
+        text = "country,year,value\nDE,2000,1.5\nFR,2000,2.5\n"
+        first, second = parse_table(text), parse_table(text)
+        assert first == second == {("DE", 2000): 1.5, ("FR", 2000): 2.5}
+        assert first is not second
+        first["DE", 2000] = 99.0
+        del first["FR", 2000]
+        assert second == parse_table(text) == {("DE", 2000): 1.5,
+                                               ("FR", 2000): 2.5}
+
+    def test_a_bad_text_raises_on_every_call(self):
+        text = "country,year,value\nDE,2000,1.0\nDE,2000,2.0\n"
+        errors = []
+        for _ in range(2):
+            with pytest.raises(eb.DuplicateKey) as info:
+                parse_table(text)
+            errors.append(str(info.value))
+        assert errors == ["duplicate row for DE 2000"] * 2
+
+    def test_second_load_of_the_same_files_is_not_parsed_again(self):
+        paths = [BUNDLED_DATA / n for n in INPUT_FILES]
+        first = eb.load_files(*paths)
+        hits = dataset_mod._parse.cache_info().hits
+        second = eb.load_files(*paths)
+        assert dataset_mod._parse.cache_info().hits == hits + 3
+        assert _columns(second) == _columns(first)
+
+    def test_a_file_rewritten_in_place_is_parsed_again(self, tmp_path):
+        # same size and same mtime: only the bytes tell the texts apart
+        paths = [tmp_path / n for n in INPUT_FILES]
+        for path, value in zip(paths, ("100.0", "0.125", "1.0")):
+            path.write_text(f"country,year,value\nDE,2000,{value}\n",
+                            encoding="utf-8")
+        assert eb.load_files(*paths).gdp["DE", 2000] == 100.0
+        stat = paths[0].stat()
+        paths[0].write_text("country,year,value\nDE,2000,200.0\n",
+                            encoding="utf-8")
+        os.utime(paths[0], ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        after = paths[0].stat()
+        assert (after.st_size, after.st_mtime_ns) == (stat.st_size,
+                                                      stat.st_mtime_ns)
+        reloaded = eb.load_files(*paths)
+        assert reloaded.gdp["DE", 2000] == 200.0
+        assert reloaded.cab_eur["DE", 2000] == 25.0

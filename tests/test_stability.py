@@ -257,15 +257,37 @@ class TestUncertaintyInterval:
             eb.uncertainty_interval(analysis, 0.99)
 
     def test_scan_window_lost_in_rounding(self):
-        # t0 is about 7.68e34, so t0 - 15 and t0 + 15 both round to t0
-        analysis = _toy_analysis(2.0, 1e-20, 1.0, 1e-20 * (1 + 2**-50),
+        # t0 is about 2.88e17, so t0 - 15 and t0 + 15 both round to t0
+        analysis = _toy_analysis(math.e, 1e-24, 1.0, 1e-24 + 2**-58,
                                  mse_s=1.0, mse_d=1.0)
         t0 = eb.turning_points(analysis).t0
         assert t0 - stability.BRACKET_HALF_WIDTH == t0
         with pytest.raises(eb.RootNotBracketed) as info:
             eb.uncertainty_interval(analysis, 0.99)
-        assert str(info.value) == (f"no band attains the level inf in "
+        assert str(info.value) == (f"no band attains the level 2.71828 in "
                                    f"[{t0:.6g}, {t0:.6g}]")
+
+    def test_level_overflow_is_named(self):
+        # t0 is about 7.68e34, where S(t0) = 2 exp(7.68e14) overflows
+        analysis = _toy_analysis(2.0, 1e-20, 1.0, 1e-20 * (1 + 2**-50),
+                                 mse_s=1.0, mse_d=1.0)
+        tp = eb.turning_points(analysis)
+        assert tp.level == math.inf
+        with pytest.raises(eb.RootNotBracketed) as info:
+            eb.uncertainty_interval(analysis, 0.99)
+        assert str(info.value) == (
+            f"the turning-point level overflows the float range at "
+            f"t0 = {tp.t0:.6g}")
+
+    def test_band_overflow_names_the_window(self):
+        # t0 = 15 and S(t0) = e^450, but the deficit band at t = 30 needs
+        # e^930
+        analysis = _toy_analysis(1.0, 30.0, math.exp(-15.0), 31.0,
+                                 mse_s=1.0, mse_d=1.0)
+        assert eb.turning_points(analysis).t0 == 15.0
+        with pytest.raises(OverflowError) as info:
+            eb.uncertainty_interval(analysis, 0.99)
+        assert str(info.value) == "bands overflow the float range in [0, 30]"
 
 
 def _bands_at(model, t, band_level):
