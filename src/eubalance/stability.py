@@ -151,13 +151,13 @@ def uncertainty_interval(analysis: GapAnalysis,
             f"deficit rate d = {analysis.d:.6g} does not exceed surplus "
             f"rate b = {analysis.b:.6g}: deficits never overtake surpluses")
     tp = turning_points(analysis)
-    if not math.isfinite(tp.level):
+    level = tp.level
+    if not math.isfinite(level):
         raise RootNotBracketed(
             f"the turning-point level overflows the float range at "
             f"t0 = {tp.t0:.6g}")
     s, d = analysis.surplus_model, analysis.deficit_model
     q_s, q_d = t_quantile(p, s.dof), t_quantile(p, d.dof)
-    level = tp.level
     # the four band curves on the positive (magnitude) axis, less the level
     bands = (lambda t: _bands(s, q_s, t)[1] - level,
              lambda t: _bands(s, q_s, t)[0] - level,
