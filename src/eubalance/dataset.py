@@ -132,8 +132,7 @@ class Dataset:
 def parse_table(raw_text: str) -> dict[tuple[str, int], float]:
     """Parse one plain-CSV table into a {(country, year): value} mapping.
 
-    The body is converted column by column; on any anomaly
-    :func:`_raise_first_bad_line` raises the first bad line's error.
+    Lines are read in turn, and the first bad line raises its error.
     The tables of the last len(INPUT_FILES) texts parsed, one load's
     worth, are kept under the text itself, so a text with the same bytes
     as one of them is not parsed again. Each call returns a new dict,
@@ -148,42 +147,9 @@ def _parse(raw_text: str) -> dict[tuple[str, int], float]:
     header = header.strip()
     if tuple(h.strip() for h in header.split(",")) != PLAIN_CSV_HEADER:
         raise MalformedHeader(f"expected header 'country,year,value', got {header!r}")
-    lines = list(filter(None, map(str.strip, body.split("\n"))))
-    if not lines:
-        return {}
-    # Joined with ",\n", a newline can only open a cell, so if the cells
-    # at 3, 6, ... hold all n - 1 newlines, every line has three fields.
-    cells = ",\n".join(lines).split(",")
-    if (len(cells) == 3 * len(lines)
-            and "".join(cells[3::3]).count("\n") == len(lines) - 1):
-        countries = _shared(str.strip, cells[0::3])
-        try:
-            years = _shared(int, cells[1::3])
-            values = list(map(float, cells[2::3]))
-        except ValueError:
-            pass
-        else:
-            table = dict(zip(zip(countries, years), values))
-            if all(map(math.isfinite, values)) and len(table) == len(lines):
-                return table
-    _raise_first_bad_line(body)
-
-
-def _shared(convert, cells: list[str]) -> list:
-    """convert(cell) for each cell, converted once per distinct cell, with
-    one object for each distinct result."""
+    table: dict[tuple[str, int], float] = {}
+    # one str per code and one int per year, shared by all the table's keys
     atoms: dict = {}
-    memo = {}
-    for cell in set(cells):
-        atom = convert(cell)
-        memo[cell] = atoms.setdefault(atom, atom)
-    return list(map(memo.__getitem__, cells))
-
-
-def _raise_first_bad_line(body: str) -> None:
-    """Raise the error of the first bad line of a body (line 2 onwards)
-    that the column path rejected: one of these checks always fails."""
-    seen: set[tuple[str, int]] = set()
     for lineno, ln in enumerate(body.split("\n"), start=2):
         ln = ln.strip()
         if not ln:
@@ -199,9 +165,11 @@ def _raise_first_bad_line(body: str) -> None:
             raise BadNumeric(f"line {lineno}: {ln!r}") from None
         if not math.isfinite(value):
             raise BadNumeric(f"line {lineno}: value is not finite: {ln!r}")
-        if (country, year) in seen:
+        key = atoms.setdefault(country, country), atoms.setdefault(year, year)
+        if key in table:
             raise DuplicateKey(f"duplicate row for {country} {year}")
-        seen.add((country, year))
+        table[key] = value
+    return table
 
 
 def assemble(gdp: _Column, cab_pct: _Column, ggb: _Column) -> Dataset:
@@ -222,22 +190,16 @@ def assemble(gdp: _Column, cab_pct: _Column, ggb: _Column) -> Dataset:
     cab_eur = {key: p * gdp[key] for key, p in cab_pct.items()}
     psb_eur = {key: cab - ggb[key] for key, cab in cab_eur.items()
                if key in ggb}
-    # No |cab_eur| or |psb_eur| exceeds this bound, so only when it
-    # overflows can a derived value be infinite.
-    bound = (max(gdp.values(), default=0.0)
-             * max(map(abs, cab_pct.values()), default=0.0)
-             + max(map(abs, ggb.values()), default=0.0))
-    if not math.isfinite(bound):
-        # at one key, cab_eur is named before psb_eur
-        bad = min(((key, field, value)
-                   for field, column in (("cab_eur", cab_eur),
-                                         ("psb_eur", psb_eur))
-                   for key, value in column.items()
-                   if not math.isfinite(value)), default=None)
-        if bad is not None:
-            (country, year), field, value = bad
-            raise BadNumeric(f"{field} for {country} {year} "
-                             f"is not finite: {value!r}")
+    # at one key, cab_eur is named before psb_eur
+    bad = min(((key, field, value)
+               for field, column in (("cab_eur", cab_eur),
+                                     ("psb_eur", psb_eur))
+               for key, value in column.items()
+               if not math.isfinite(value)), default=None)
+    if bad is not None:
+        (country, year), field, value = bad
+        raise BadNumeric(f"{field} for {country} {year} "
+                         f"is not finite: {value!r}")
     return Dataset(dict(gdp), dict(cab_pct), dict(ggb), cab_eur, psb_eur)
 
 

@@ -89,13 +89,20 @@ def _gap_root(a: float, b: float, c: float, d: float) -> float:
 
 
 def turning_points(analysis: GapAnalysis) -> TurningPoints:
-    """Roots of the gap, its slope, and its curvature, plus the gap level."""
+    """Roots of the gap, its slope, and its curvature, plus the gap level.
+
+    The level is S(t0) = a * exp(b * t0), or inf when exp(b * t0)
+    overflows the float range.
+    """
     a, b, c, d = analysis.a, analysis.b, analysis.c, analysis.d
     # the k-th derivative vanishes where a*b^k*e^{bt} = c*d^k*e^{dt}
     t0 = _gap_root(a, b, c, d)
     t1 = _gap_root(a * b, b, c * d, d)
     t2 = _gap_root(a * b * b, b, c * d * d, d)
-    level = a * math.exp(b * t0) if b * t0 < 700.0 else math.inf
+    try:
+        level = a * math.exp(b * t0)
+    except OverflowError:
+        level = math.inf
     return TurningPoints(t0=t0, t1=t1, t2=t2, level=level)
 
 

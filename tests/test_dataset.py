@@ -16,7 +16,8 @@ BUNDLED_DATA = Path(eb.__file__).parent / "data"
 
 
 def _reference_parse_table(raw_text):
-    """The line-by-line parser that parse_table's bulk path must match."""
+    """An independent line-by-line parser that parse_table must match,
+    table or first error."""
     reader = io.StringIO(raw_text)
     header = reader.readline().strip()
     if tuple(h.strip() for h in header.split(",")) != ("country", "year",
@@ -101,7 +102,8 @@ class TestPlainCsv:
 
 
 class TestBulkParse:
-    """parse_table against the line-by-line reference parser."""
+    """parse_table against the reference parser: the first fault wins,
+    and padded or spelled-out cells share one atom."""
 
     @pytest.mark.parametrize("body, error", (
         # the first fault wins, whichever kind comes second
@@ -225,7 +227,8 @@ class TestAssemble:
             eb.assemble(gdp, cab_pct, ggb)
 
     def test_large_finite_derived_values_load(self):
-        # the overflow bound is passed, yet every derived value is finite
+        # the largest magnitudes would overflow if summed, yet every
+        # derived value is finite
         ds = eb.assemble({("DE", 1995): 1.5e308, ("FR", 1995): 1500.0},
                          {("DE", 1995): 1e-3, ("FR", 1995): 0.9},
                          {("DE", 1995): -1.5e308})

@@ -279,6 +279,18 @@ class TestUncertaintyInterval:
             f"the turning-point level overflows the float range at "
             f"t0 = {tp.t0:.6g}")
 
+    def test_level_below_the_exp_limit_is_finite(self):
+        # b * t0 = 705 lies below exp's overflow limit of about 709.78, so
+        # S(t0) = e^705 is finite; the bands overflow further out
+        analysis = _toy_analysis(1.0, 1.0, 1e-300, 1 + math.log(1e300) / 705,
+                                 mse_s=1.0, mse_d=1.0)
+        tp = eb.turning_points(analysis)
+        assert tp.t0 == 705.0
+        assert tp.level == math.exp(705.0)
+        with pytest.raises(OverflowError) as info:
+            eb.uncertainty_interval(analysis, 0.99)
+        assert str(info.value) == "bands overflow the float range in [690, 720]"
+
     def test_band_overflow_names_the_window(self):
         # t0 = 15 and S(t0) = e^450, but the deficit band at t = 30 needs
         # e^930
