@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import accounting, dataset, expfit, reports, stability
@@ -20,6 +21,9 @@ EXIT_SOLVER = 4
 EXIT_NO_INTERSECTION = 5
 
 
+# Built once per process: parse_args and error leave the parser as it was,
+# and each parse_args call returns a fresh Namespace.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eubalance",
@@ -63,13 +67,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_config(parser: argparse.ArgumentParser,
                   args: argparse.Namespace) -> None:
-    if args.data_dir is not None:
-        for name in dataset.INPUT_FILES:
-            if not (args.data_dir / name).is_file():
-                parser.error(f"missing data file {args.data_dir / name}")
-    if args.regions is not None and not args.regions.is_file():
-        parser.error(f"regions file {args.regions} does not exist")
-    existing = next(p for p in (args.out, *args.out.parents) if p.exists())
+    try:
+        if args.data_dir is not None:
+            for name in dataset.INPUT_FILES:
+                if not (args.data_dir / name).is_file():
+                    parser.error(f"missing data file {args.data_dir / name}")
+        if args.regions is not None and not args.regions.is_file():
+            parser.error(f"regions file {args.regions} does not exist")
+        existing = next(p for p in (args.out, *args.out.parents)
+                        if p.exists())
+    except OSError as exc:  # a path the OS rejects, such as a name too long
+        parser.error(f"cannot use path {exc.filename}: {exc.strerror}")
     if not existing.is_dir():
         parser.error(f"--out {args.out}: {existing} is not a directory")
     for flag in ("level", "band_level"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import cache
 
 from . import accounting, expfit, stability
 from .accounting import RegionDefinition
@@ -359,20 +360,26 @@ def stability_table(scope: str, analysis: stability.GapAnalysis,
                  rows)
 
 
+@cache
+def _plot_t_cells() -> tuple[str, ...]:
+    """The plot's t column, formatted on a process's first plot."""
+    steps = int(PLOT_T_MAX * PLOT_STEPS_PER_YEAR)
+    return tuple(sig6(k / PLOT_STEPS_PER_YEAR) for k in range(steps + 1))
+
+
 def plot_data_table(scope: str, analysis: stability.GapAnalysis,
                     band_level: float) -> Table:
     s_model = analysis.surplus_model
     d_model = analysis.deficit_model
     rows = []
-    steps = int(PLOT_T_MAX * PLOT_STEPS_PER_YEAR)
-    for k in range(steps + 1):
+    for k, t_cell in enumerate(_plot_t_cells()):
         t = k / PLOT_STEPS_PER_YEAR
         surplus = s_model.alpha * math.exp(s_model.beta * t)
         deficit = d_model.alpha * math.exp(d_model.beta * t)
         s_lo, s_hi = stability.band_envelope(s_model, t, band_level)
         d_lo, d_hi = stability.band_envelope(d_model, t, band_level)
         s, d = sig6(surplus), sig6(deficit)
-        rows.append((sig6(t), s, _negated(s), d, _negated(d),
+        rows.append((t_cell, s, _negated(s), d, _negated(d),
                      sig6(surplus + deficit),  # the deficit is negative
                      sig6(s_lo), sig6(s_hi), sig6(-d_hi), sig6(-d_lo)))
     return Table(f"Plot data: {scope}",

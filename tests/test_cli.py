@@ -437,6 +437,22 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "is not a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, below", (
+        ("--out", "y"), ("--data-dir", ""), ("--regions", "")))
+    def test_path_the_os_rejects_is_config_error(self, tmp_path, capsys,
+                                                 flag, below):
+        path = tmp_path / ("x" * 300) / below  # one name over NAME_MAX
+        argv = [flag, str(path), "report", "--table", "1"]
+        if flag != "--out":
+            argv = ["--out", str(tmp_path), *argv]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"error: cannot use path {path}" in err  # or a file in it
+        assert err.endswith(": File name too long\n")
+
     def test_output_path_is_a_directory_is_config_error(self, tmp_path,
                                                         capsys):
         (tmp_path / "table_1.csv").mkdir()
@@ -618,3 +634,45 @@ class TestOutputHygiene:
         assert proc.returncode == 0, proc.stderr
         # the package's own files are read as plain files, as user files are
         assert proc.stdout.endswith("[]\n")
+
+
+class TestParserReuse:
+    """The parser is built once per process; no call leaves state in it."""
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_band_level_does_not_carry_over(self, tmp_path):
+        after, fresh = tmp_path / "after", tmp_path / "fresh"
+        assert run(tmp_path / "first", "stability", "--scope", "eu",
+                   "--band-level", "0.9") == 0
+        assert run(after, "stability", "--scope", "eu") == 0
+        src = str(BUNDLED_DATA.parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "eubalance.cli", "--out", str(fresh),
+             "stability", "--scope", "eu"],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted(p.name for p in after.iterdir())
+        for name in names:
+            assert (after / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_format_does_not_carry_over(self, tmp_path, capsys):
+        assert run(tmp_path, "--format", "csv", "report", "--table", "2") == 0
+        capsys.readouterr()
+        assert run(tmp_path, "report", "--table", "2") == 0
+        assert capsys.readouterr().out == read(tmp_path, "table_2.txt")
+
+    # one rejected by argparse, one by the configuration check
+    @pytest.mark.parametrize("rejected", (
+        ("report", "--table", "13"),
+        ("fit", "--series", "eu9plus", "--level", "1.5")))
+    def test_a_rejected_call_leaves_the_parser_usable(self, tmp_path,
+                                                       rejected):
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path, *rejected)
+        assert exc.value.code == 2
+        assert run(tmp_path, "report", "--table", "1") == 0

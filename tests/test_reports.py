@@ -1,4 +1,5 @@
-"""Six-significant-digit formatting: both paths against a Decimal reference."""
+"""Six-significant-digit formatting: both paths against a Decimal reference,
+and the plot's t column, formatted once per process."""
 import math
 import random
 import struct
@@ -183,3 +184,16 @@ class TestSig6FastPath:
             reports.build_table(dataset, regions, table_id)
         # zero has no digits to round
         assert [x for x in sent if x and not _is_7_digit_tie(x)] == []
+
+
+class TestPlotTColumn:
+    def test_cells_are_the_grid_in_sig6(self):
+        assert reports._plot_t_cells() == tuple(
+            sig6(k / 20) for k in range(501))
+
+    def test_cells_are_built_once(self):
+        assert reports._plot_t_cells() is reports._plot_t_cells()
+
+    def test_plot_reads_the_cells(self, analyses):
+        plot = reports.plot_data_table("eu", analyses["eu"], 0.95)
+        assert tuple(row[0] for row in plot.rows) == reports._plot_t_cells()
