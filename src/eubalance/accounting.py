@@ -62,11 +62,35 @@ def region_series(dataset: Dataset, region: RegionDefinition, kind: str,
         raise ValueError(f"unknown kind {kind!r}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    members = region.members
-    by_year: dict[int, list[float]] = {}
-    for (country, year), value in getattr(dataset, _FIELD[kind]).items():
-        if country in members:
-            by_year.setdefault(year, []).append(value)
+    return _series(_values_by_year(dataset, kind, (region,))[0], region,
+                   kind, mode)
+
+
+def _values_by_year(dataset: Dataset, kind: str,
+                    regions: Sequence[RegionDefinition]) -> list[dict]:
+    """Per region, year -> its members' values of a kind in column order,
+    from one walk of the column."""
+    out = [{year: [] for year in dataset.years} for _ in regions]
+    items = getattr(dataset, _FIELD[kind]).items()
+    if len(regions) == 1:  # a walk with no fan-out takes half the time
+        members, (by_year,) = regions[0].members, out
+        for (country, year), value in items:
+            if country in members:
+                by_year[year].append(value)
+    elif regions:
+        holders: dict[str, list[dict]] = {}
+        for by_year, region in zip(out, regions):
+            for country in region.members:
+                holders.setdefault(country, []).append(by_year)
+        for (country, year), value in items:
+            for by_year in holders.get(country, ()):
+                by_year[year].append(value)
+    return [{year: v for year, v in by_year.items() if v} for by_year in out]
+
+
+def _series(by_year: dict[int, list[float]], region: RegionDefinition,
+            kind: str, mode: str) -> tuple[tuple[int, float], ...]:
+    """region_series from the values _values_by_year gives the region."""
     if not by_year:
         raise EmptyIntersection(f"no {kind} data for region {region.name!r}")
     points = []
@@ -130,11 +154,13 @@ def _total(kind: str, subject: str, values: Iterable[float]) -> float:
 def gdp_share(dataset: Dataset, region: RegionDefinition, year: int) -> float:
     """A region's share of the GDP of all countries.
 
-    GDPs are positive and summed over all countries first, so only that
-    sum can overflow: a region whose members are not all there raises
-    MissingGdp."""
-    denom = _gdp_sum(dataset, dataset.countries, year)
-    return _gdp_sum(dataset, region.members, year) / denom
+    GDPs are positive and summed over all countries first, once per
+    dataset and year, so only that sum can overflow: a region whose
+    members are not all there raises MissingGdp."""
+    totals = dataset._gdp_totals  # a sum that raised is not kept
+    if year not in totals:
+        totals[year] = _gdp_sum(dataset, dataset.countries, year)
+    return _gdp_sum(dataset, region.members, year) / totals[year]
 
 
 def _gdp_sum(dataset: Dataset, members: Iterable[str], year: int) -> float:

@@ -1,8 +1,8 @@
 """Command-line interface: balance reports, curve fits, stability analysis.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 data validation
-failure, 4 fit failure, 5 gap-analysis failure. Runs with the same inputs
-produce byte-identical files.
+Exit codes: 0 success, 1 internal error, 2 usage or configuration error,
+3 data validation failure, 4 fit failure, 5 gap-analysis failure. Runs
+with the same inputs produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -185,6 +185,10 @@ def main(argv=None) -> int:
     except OSError as exc:  # an input or output path that cannot be used
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception as exc:  # a fault no handler above names
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 1  # SystemExit and KeyboardInterrupt are not caught
 
 
 if __name__ == "__main__":

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import gc
 import math
+import operator
 import os
 from collections.abc import Mapping
 from functools import lru_cache
+from itertools import chain, repeat
 from types import MappingProxyType
 
 BASE_YEAR = 1995
@@ -116,6 +118,7 @@ class Dataset:
             map(MappingProxyType, (gdp, cab_pct, ggb_eur, cab_eur, psb_eur)))
         self._countries = tuple(sorted({c for c, _ in gdp}))
         self._years = tuple(sorted({y for _, y in gdp}))
+        self._gdp_totals: dict[int, float] = {}  # for accounting.gdp_share
 
     @property
     def countries(self) -> tuple[str, ...]:
@@ -180,24 +183,25 @@ def assemble(gdp: _Column, cab_pct: _Column, ggb: _Column) -> Dataset:
     GDP, and the derived values must be finite. Each check names its
     smallest bad key.
     """
-    if not (cab_pct.keys() <= gdp.keys() and ggb.keys() <= gdp.keys()):
+    try:  # one lookup and one insert per row
+        cab_eur = {key: p * gdp[key] for key, p in cab_pct.items()}
+        psb_eur = {key: cab - g for key, cab in cab_eur.items()
+                   if (g := ggb.get(key)) is not None}
+        if len(psb_eur) < len(ggb) and not ggb.keys() <= gdp.keys():
+            raise KeyError  # a ggb key outside cab_pct has no GDP
+    except KeyError:
         missing = (cab_pct.keys() | ggb.keys()) - gdp.keys()
-        raise MissingGdp(f"balance present without GDP for {min(missing)}")
-    bad = min((key for key, g in gdp.items() if not g > 0), default=None)
-    if bad is not None:
+        raise MissingGdp(f"balance present without GDP for {min(missing)}") from None
+    if not all(map(operator.lt, repeat(0), gdp.values())):
+        bad = min(key for key, g in gdp.items() if not g > 0)
         raise ValueError(f"GDP for {bad[0]} {bad[1]} is not positive: "
                          f"{gdp[bad]!r}")
-    cab_eur = {key: p * gdp[key] for key, p in cab_pct.items()}
-    psb_eur = {key: cab - ggb[key] for key, cab in cab_eur.items()
-               if key in ggb}
-    # at one key, cab_eur is named before psb_eur
-    bad = min(((key, field, value)
-               for field, column in (("cab_eur", cab_eur),
-                                     ("psb_eur", psb_eur))
-               for key, value in column.items()
-               if not math.isfinite(value)), default=None)
-    if bad is not None:
-        (country, year), field, value = bad
+    if not all(map(math.isfinite, chain(cab_eur.values(), psb_eur.values()))):
+        # at one key, cab_eur is named before psb_eur
+        (country, year), field, value = min(
+            (key, field, value)
+            for field, column in (("cab_eur", cab_eur), ("psb_eur", psb_eur))
+            for key, value in column.items() if not math.isfinite(value))
         raise BadNumeric(f"{field} for {country} {year} "
                          f"is not finite: {value!r}")
     return Dataset(dict(gdp), dict(cab_pct), dict(ggb), cab_eur, psb_eur)

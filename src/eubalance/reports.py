@@ -215,12 +215,22 @@ _YEAR_TABLES = {
 
 def _year_table(dataset: Dataset, regions: dict[str, RegionDefinition],
                 title: str, columns: Sequence[tuple[str, str, str]]) -> Table:
+    # One walk per kind collects the values of each subject whose region
+    # is defined; its first cell checks its region and sums, in row order.
+    by_subject: dict[tuple[str, str], dict[int, list[float]]] = {}
+    for kind in ("GDP", "CAB"):
+        defined = {s: r for _, measure, s in columns
+                   if measure in (kind, "CAB/GDP")
+                   and (r := _COUNTRIES.get(s) or regions.get(s))}
+        walked = accounting._values_by_year(dataset, kind, [*defined.values()])
+        by_subject.update(zip([(s, kind) for s in defined], walked))
     annual: dict[tuple[str, str], dict[int, float]] = {}
 
     def series_at(name: str, kind: str, year: int) -> float:
         if (name, kind) not in annual:
-            points = accounting.region_series(
-                dataset, _region(regions, name), kind, "annual")
+            region = _region(regions, name)  # an undefined name fails here
+            points = accounting._series(by_subject[name, kind], region, kind,
+                                        "annual")
             annual[name, kind] = {BASE_YEAR + t: v for t, v in points}
         try:
             return annual[name, kind][year]

@@ -1,12 +1,15 @@
 """Aggregation, ranking, shares, rates, and region definitions."""
+import gc
 import json
 import math
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
 
 import eubalance as eb
+from eubalance import accounting
 from eubalance.accounting import (RegionDefinition, SumOverflow,
                                   region_series, region_total)
 
@@ -81,6 +84,42 @@ class TestRegionSeries:
                 r"^GDP sum for all countries overflows in 1996$")):
             eb.gdp_share(ds, de, 1996)
 
+    def test_one_walk_matches_a_walk_per_region(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        codes = st.sampled_from(("AT", "BE", "DE", "FR", "UK"))
+        keys = st.lists(st.tuples(codes, st.integers(1995, 1999)),
+                        unique=True, max_size=25)
+        members = st.frozensets(codes | st.just("ZZ"), min_size=1)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(keys, st.lists(members, max_size=4),
+                          st.sampled_from(accounting.KINDS),
+                          st.randoms(use_true_random=False))
+        def check(keys, member_sets, kind, rng):
+            gdp = {key: rng.uniform(1.0, 100.0) for key in keys}
+            pct = {key: rng.uniform(-0.1, 0.1)
+                   for key in rng.sample(keys, len(keys) // 2)}
+            ggb = {key: rng.uniform(-9.0, 9.0)
+                   for key in rng.sample(keys, len(keys) // 2)}
+            ds = eb.assemble(gdp, pct, ggb)
+            column = getattr(ds, accounting._FIELD[kind])
+            regions = [RegionDefinition(str(i), m)
+                       for i, m in enumerate(member_sets)]
+            naive = []
+            for region in regions:
+                by_year = {}
+                for (country, year), value in column.items():
+                    if country in region.members:
+                        by_year.setdefault(year, []).append(value)
+                naive.append(by_year)
+            walked = accounting._values_by_year(ds, kind, regions)
+            # the same lists, each in column order, and the same years
+            assert walked == naive
+
+        check()
+
     def test_unknown_kind_and_mode(self, dataset, regions):
         with pytest.raises(ValueError):
             region_series(dataset, regions["EU27"], "NIIP")
@@ -144,6 +183,41 @@ class TestShares:
     def test_missing_gdp_year(self, dataset):
         with pytest.raises(eb.MissingGdp):
             eb.gdp_share(dataset, _DE, 1970)
+
+    def test_all_countries_are_summed_once_per_dataset_and_year(
+            self, regions, monkeypatch):
+        sums = []
+        real = accounting._gdp_sum
+
+        def spy(dataset, members, year):
+            if members is dataset.countries:
+                sums.append((dataset, year))
+            return real(dataset, members, year)
+
+        monkeypatch.setattr(accounting, "_gdp_sum", spy)
+        first, second = eb.load_bundled(), eb.load_bundled()
+        for ds in (first, second, first):
+            for year in (1995, 2003, 1995):
+                for name in ("EU9+", "EU18-", "EU10"):
+                    want = (real(ds, regions[name].members, year)
+                            / real(ds, ds.countries, year))
+                    assert eb.gdp_share(ds, regions[name], year) == want
+        assert sums == [(first, 1995), (first, 2003),
+                        (second, 1995), (second, 2003)]
+        # the sums are held with the dataset and go with it
+        ref = weakref.ref(first)
+        del first, ds
+        sums.clear()
+        gc.collect()
+        assert ref() is None
+
+    def test_a_year_with_a_missing_gdp_raises_on_every_call(self):
+        ds = eb.assemble({("DE", 1995): 2.0, ("FR", 1995): 3.0,
+                          ("DE", 1996): 2.0}, {}, {})
+        for _ in range(3):
+            with pytest.raises(eb.MissingGdp, match="^no GDP for FR 1996$"):
+                eb.gdp_share(ds, _DE, 1996)
+            assert eb.gdp_share(ds, _DE, 1995) == 2.0 / 5.0
 
     def test_missing_member_is_the_smallest(self, dataset):
         # the smallest absent code is named, whatever the set's order

@@ -511,6 +511,27 @@ class TestExitCodes:
             "b = 0.298277: deficits never overtake surpluses\n")
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_unnamed_fault_is_one_line_and_exit_1(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def explode(dataset, regions, table_id):
+            raise RuntimeError("forced")
+        monkeypatch.setattr(reports, "build_table", explode)
+        rc = run(tmp_path, "report", "--table", "2")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: internal error: RuntimeError: forced\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", (SystemExit(7), KeyboardInterrupt()),
+                             ids=("SystemExit", "KeyboardInterrupt"))
+    def test_exit_and_interrupt_pass_through(self, tmp_path, monkeypatch,
+                                             exc):
+        def explode(dataset, regions, table_id):
+            raise exc
+        monkeypatch.setattr(reports, "build_table", explode)
+        with pytest.raises(type(exc)):
+            run(tmp_path, "report", "--table", "2")
+
     def test_no_intersection_is_exit_5(self, tmp_path, monkeypatch):
         def explode(analysis, band_level):
             raise stability.RootNotBracketed("forced")

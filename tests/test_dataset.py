@@ -254,6 +254,68 @@ class TestAssemble:
                            match=r"^cab_eur for DE 1996 is not finite: inf$"):
             eb.assemble(gdp, {("DE", 1995): 0.1, ("DE", 1996): 2.0}, ggb)
 
+    def test_faults_are_checked_in_order(self):
+        # missing GDP, then a GDP that is not positive, then a non-finite
+        # derived value: mending each fault exposes the next
+        gdp = {("DE", 1995): 1.5e308, ("FR", 1995): -1.0,
+               ("IT", 1995): 1.0}
+        cab_pct = {("DE", 1995): 2.0, ("IT", 1995): 0.5}
+        ggb = {("DE", 1995): -1.5e308, ("SE", 1995): 1.0}
+        with pytest.raises(eb.MissingGdp, match=r"\('SE', 1995\)$"):
+            eb.assemble(gdp, cab_pct, ggb)
+        del ggb["SE", 1995]
+        with pytest.raises(ValueError,
+                           match=r"^GDP for FR 1995 is not positive: -1\.0$"):
+            eb.assemble(gdp, cab_pct, ggb)
+        gdp["FR", 1995] = 1.0
+        # cab_eur and psb_eur are both infinite at DE 1995
+        with pytest.raises(eb.BadNumeric,
+                           match=r"^cab_eur for DE 1995 is not finite: inf$"):
+            eb.assemble(gdp, cab_pct, ggb)
+
+    @pytest.mark.parametrize("ggb, missing", (
+        ({("DE", 2011): 1.0, ("SE", 2011): 1.0, ("BE", 2011): 1.0}, "BE"),
+        ({("FR", 2011): 1.0, ("BE", 2011): 1.0}, "BE"),
+        ({("FR", 2011): 1.0, ("UK", 2011): 1.0}, "NL"),
+    ), ids=("ggb-only", "beside-a-ggb-key-with-gdp", "cab-pct-smaller"))
+    def test_ggb_key_without_gdp_or_cab_pct_row(self, ggb, missing):
+        # each missing ggb key has no cab_pct row, so no derived value
+        # looks it up
+        gdp = {("DE", 2011): 2592.6, ("FR", 2011): 2001.4}
+        cab_pct = {("DE", 2011): 0.05}
+        if missing == "NL":
+            cab_pct["NL", 2011] = 0.01
+        with pytest.raises(eb.MissingGdp,
+                           match=rf"\('{missing}', 2011\)$"):
+            eb.assemble(gdp, cab_pct, ggb)
+
+    def test_ggb_key_with_gdp_but_no_cab_pct_row_loads(self):
+        ds = eb.assemble({("DE", 2011): 2592.6, ("FR", 2011): 2001.4},
+                         {("DE", 2011): 0.05},
+                         {("DE", 2011): -20.0, ("FR", 2011): -100.0})
+        assert ds.ggb_eur["FR", 2011] == -100.0
+        assert list(ds.psb_eur) == [("DE", 2011)]
+
+    def test_nan_gdp_is_not_positive(self):
+        with pytest.raises(ValueError,
+                           match=r"^GDP for DE 2000 is not positive: nan$"):
+            eb.assemble({("AT", 2000): 1.0, ("DE", 2000): math.nan},
+                        {("AT", 2000): 0.5}, {})
+
+    def test_columns_keep_the_input_order(self):
+        keys = [("UK", 1999), ("AT", 2001), ("DE", 1995), ("AT", 1995),
+                ("FR", 2000), ("BE", 1997)]
+        gdp = {key: 10.0 + i for i, key in enumerate(keys)}
+        cab_pct = {key: 0.01 * i for i, key in enumerate(reversed(keys))
+                   if key != ("FR", 2000)}
+        ggb = {key: float(i) for i, key in enumerate(keys[::2] + keys[1::2])
+               if key != ("AT", 1995)}
+        ds = eb.assemble(gdp, cab_pct, ggb)
+        assert list(ds.gdp) == list(gdp)
+        assert list(ds.cab_pct) == list(ds.cab_eur) == list(cab_pct)
+        assert list(ds.ggb_eur) == list(ggb)
+        assert list(ds.psb_eur) == [key for key in cab_pct if key in ggb]
+
 
 class TestRecordInvariants:
     def test_negative_gdp_rejected(self):

@@ -1,15 +1,24 @@
 """Six-significant-digit formatting: both paths against a Decimal reference,
-and the plot's t column, formatted once per process."""
+the plot's t column, formatted once per process, and the year tables
+against a region_series reference."""
+import functools
+import importlib.util
+import json
 import math
 import random
 import struct
 import sys
 from decimal import Decimal, ROUND_HALF_UP
+from pathlib import Path
 
 import pytest
 
-from eubalance import reports
+import eubalance as eb
+from eubalance import accounting, cli, reports
+from eubalance.dataset import INPUT_FILES
 from eubalance.reports import _sig6_exact, sig6
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MAX = sys.float_info.max
 
@@ -197,3 +206,80 @@ class TestPlotTColumn:
     def test_plot_reads_the_cells(self, analyses):
         plot = reports.plot_data_table("eu", analyses["eu"], 0.95)
         assert tuple(row[0] for row in plot.rows) == reports._plot_t_cells()
+
+
+def _reference_year_rows(dataset, regions, table_id):
+    """A year table's rows from one region_series call per subject and
+    kind, and one gdp_share call per share cell."""
+    _, columns = reports._YEAR_TABLES[table_id]
+
+    @functools.cache
+    def annual(name, kind):
+        region = reports._region(regions, name)
+        return {eb.BASE_YEAR + t: v for t, v
+                in accounting.region_series(dataset, region, kind)}
+
+    rows = []
+    for year in dataset.years:
+        values = []
+        for _, measure, subject in columns:
+            if measure in ("GDP", "CAB"):
+                value = annual(subject, measure)[year]
+            elif measure == "CAB/GDP":
+                value = annual(subject, "CAB")[year] / annual(subject,
+                                                              "GDP")[year]
+            elif measure == "share":
+                value = accounting.gdp_share(
+                    dataset, reports._region(regions, subject), year)
+            else:
+                value = math.fsum(values)
+            values.append(value)
+        rows.append((str(year), *map(sig6, values)))
+    return tuple(rows)
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """The bundled countries replicated and perturbed at seed 7, as the
+    benchmark's scale workload generates them."""
+    spec = importlib.util.spec_from_file_location(
+        "scaledata", ROOT / "perfbench" / "scaledata.py")
+    scaledata = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaledata)
+    out = tmp_path_factory.mktemp("generated")
+    scaledata.generate(Path(eb.__file__).parent / "data", out, 7)
+    return (eb.load_files(*(out / name for name in INPUT_FILES)),
+            eb.load_regions(out / "regions.json"))
+
+
+class TestYearTables:
+    @pytest.mark.parametrize("table_id", range(5, 13))
+    @pytest.mark.parametrize("source", ("bundled", "generated"))
+    def test_cells_match_region_series(self, request, source, table_id):
+        dataset, regions = (
+            (request.getfixturevalue("dataset"),
+             request.getfixturevalue("regions")) if source == "bundled"
+            else request.getfixturevalue("generated"))
+        table = reports.build_table(dataset, regions, table_id)
+        assert table.rows == _reference_year_rows(dataset, regions, table_id)
+
+    # Table 6 reads EU9+ before EU18-, table 10 reads their CAB first. A
+    # region with no data, or with no CAB in 1995 (Bulgaria reports from
+    # 1998), fails at its first cell.
+    @pytest.mark.parametrize("table_id, defined, message", (
+        (6, {"EU9+": ["ZZ"]}, "no GDP data for region 'EU9+'"),
+        (10, {"EU9+": ["ZZ"]}, "no CAB data for region 'EU9+'"),
+        (10, {"EU9+": ["BG"]}, "no CAB data for region 'EU9+' in 1995"),
+        (6, {"EU18-": ["ZZ"]}, "region 'EU9+' is not defined"),
+        (6, {"EU9+": []}, "region 'EU9+' has no members"),
+    ), ids=("no-data", "no-data-cab", "none-in-1995", "undefined-first",
+            "no-members"))
+    def test_first_fault_in_row_order_is_raised(self, tmp_path, capsys,
+                                                table_id, defined, message):
+        # every other region of the table is left undefined
+        path = tmp_path / "regions.json"
+        path.write_text(json.dumps(defined), encoding="utf-8")
+        rc = cli.main(["--regions", str(path), "--out", str(tmp_path),
+                       "report", "--table", str(table_id)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
