@@ -133,11 +133,15 @@ def _cmd_fit(args: argparse.Namespace, ds, regions):
 
 
 def _cmd_stability(args: argparse.Namespace, ds, regions):
-    surplus_key, deficit_key = reports.STABILITY_SCOPES[args.scope]
-    surplus_points, surplus_model = _fit(ds, regions, surplus_key)
-    _, deficit_model = _fit(ds, regions, deficit_key)
-    analysis = stability.GapAnalysis(surplus_model=surplus_model,
-                                     deficit_model=deficit_model)
+    keys = reports.STABILITY_SCOPES[args.scope]
+    (surplus_points, s), (_, d) = (_fit(ds, regions, key) for key in keys)
+    try:
+        analysis = stability.GapAnalysis(surplus_model=s, deficit_model=d)
+    except ValueError as exc:  # a sign rule: name the scope and both fits
+        raise ValueError(f"scope {args.scope}: {exc} (" + "; ".join(
+            f"{role} {key}: alpha = {m.alpha:.6g}, beta = {m.beta:.6g}"
+            for role, key, m in zip(("surplus", "deficit"), keys, (s, d)))
+            + ")") from None
     interval = stability.uncertainty_interval(analysis, args.band_level)
     latest_t = max(t for t, _ in surplus_points)
     table = reports.stability_table(args.scope, analysis, interval, latest_t)

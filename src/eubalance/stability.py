@@ -113,24 +113,52 @@ def _bands(model: ExpFitModel, q: float, t: float) -> tuple[float, float]:
     return pred - spread, pred + spread
 
 
-def _band_pass(model: ExpFitModel, q: float, lo: float, hi: float,
-               steps: int):
-    """(t, lower, upper) at t = lo + (hi - lo) * k / steps, k = 0..steps.
+def _band_point(model: ExpFitModel, q: float, t: float):
+    """_bands' bounds by the same operations in the same order, with
+    exp(beta * t) taken once, shared by the prediction and the gradient."""
+    a, ((c00, c01), (c10, c11)) = model.alpha, model.cov
+    e = math.exp(model.beta * t)
+    g2 = a * t * e
+    spread = q * math.sqrt(model.mse + (e * (c00 * e + c01 * g2)
+                                        + g2 * (c10 * e + c11 * g2)))
+    return a * e - spread, a * e + spread
 
-    Each bound is the one _bands gives, from the same operations in the
-    same order, but with exp(beta * t) taken once per point and shared by
-    the prediction and se_single's gradient.
+
+def _band_bounds(model: ExpFitModel, q: float, tl: float, tr: float):
+    """(low, high) of the upper and the lower band magnitude |pred| +-
+    spread as _band_point computes them at any float t in [tl, tr]; nan
+    if exp nears overflow or the variance is not provably >= 0.
+
+    |alpha| e^{beta t} rises for beta > 0, the variance is e^{2 beta t}
+    times a quadratic in t, bounded from its ends and vertex, and sqrt
+    rises. In u = 2**-53, the rounded exp argument (|beta t| u off) and
+    libm's exp (an ulp) put e^{beta t} within (beta T + 2) u, T = max |t|.
+    A variance term has two such factors and 8 roundings more: a variance,
+    at a point or here, is within dv = eps (mse + A), eps = (2 beta T +
+    20) u, A its terms' magnitudes, 7 u to spare; the spread within q
+    sqrt(dv), the rest within eps relative. An underflow adds 2**-1074
+    times the factors after it, in all below (|c| + 1) W^2, W = 2 (1 + e)
+    (1 + |alpha|) (1 + T), or 0 if cov is 0. Twice this widens the bounds.
     """
-    a, b, mse = model.alpha, model.beta, model.mse
+    a, b, mse = abs(model.alpha), model.beta, model.mse
     (c00, c01), (c10, c11) = model.cov
-    for k in range(steps + 1):
-        t = lo + (hi - lo) * k / steps
-        e = math.exp(b * t)
-        pred = a * e
-        g2 = a * t * e
-        spread = q * math.sqrt(mse + (e * (c00 * e + c01 * g2)
-                                      + g2 * (c10 * e + c11 * g2)))
-        yield t, pred - spread, pred + spread
+    el, er = math.exp(b * tl), math.exp(b * tr) if b * tr < 709 else math.inf
+    tmax, k1, k2 = max(-tl, tr), (c01 + c10) * model.alpha, c11 * a * a
+    ts = (tl, tr, min(max(-k1 / (2.0 * k2), tl), tr)) if k2 else (tl, tr)
+    qmin, qmax = min(qs := [c00 + (k1 + k2 * t) * t for t in ts]), max(qs)
+    vmin = qmin * (el * el if qmin >= 0.0 else er * er)
+    vmax = qmax * (er * er if qmax >= 0.0 else el * el)
+    eps, at = (2.0 * b * tmax + 20.0) * 2.0 ** -53, a * tmax
+    n0, n1, n2 = abs(c00), abs(c01) + abs(c10), abs(c11)
+    w = 2.0 * (1.0 + er) * (1.0 + a) * (1.0 + tmax)
+    dv = eps * (mse + er * er * (n0 + (n1 + n2 * at) * at))
+    dv += 2.0 ** -1068 * (n0 + n1 + n2 + 1.0) * w * w if n0 + n1 + n2 else 0.0
+    if not mse + vmin >= 2.0 * dv >= 0.0:
+        return (math.nan, math.nan), (math.nan, math.nan)
+    s_lo, s_hi = q * math.sqrt(mse + vmin), q * math.sqrt(mse + vmax)
+    pad = 2.0 * (eps * (a * er + s_hi) + q * math.sqrt(dv) + 2.0 ** -1068 * w)
+    return ((a * el + s_lo - pad, a * er + s_hi + pad),
+            (a * el - s_hi - pad, a * er - s_lo + pad))
 
 
 def band_envelope(model: ExpFitModel, t: float,
@@ -148,9 +176,12 @@ def uncertainty_interval(analysis: GapAnalysis,
     intersected with the horizontal line at the turning-point level. Bands
     that never reach the level inside [t0 - 15, t0 + 15] contribute no
     root; the interval spans the earliest and latest of the roots found.
-    One scan with step SCAN_STEP brackets the crossings of all four bands:
-    a band on the level at a grid point crosses there, and any other
-    crossing is bisect's float-adjacent root of band - level in its cell.
+    The rule is a walk over the grid of step SCAN_STEP: a band on the
+    level at a grid point crosses there; any other crossing is bisect's
+    float-adjacent root of band - level in a cell where it changes side.
+    Stretches that _band_bounds proves no band touches hold no crossing
+    or error and are skipped; the rest get the walk's tests in grid
+    order: the same cells are bisected, every result and error the walk's.
     """
     p = _two_sided(band_level, "band_level")
     if analysis.d <= analysis.b:
@@ -173,25 +204,30 @@ def uncertainty_interval(analysis: GapAnalysis,
     lo, hi = tp.t0 - BRACKET_HALF_WIDTH, tp.t0 + BRACKET_HALF_WIDTH
     steps = int(round((hi - lo) / SCAN_STEP))
     roots: list[float] = []
+
+    def point(t):  # t and the four bands less the level there
+        s_lo, s_hi = _band_point(s, q_s, t)
+        d_lo, d_hi = _band_point(d, q_d, t)
+        return t, (s_hi - level, s_lo - level, -d_lo - level, -d_hi - level)
+
+    def scan(i, j, left, fits):  # cells i..j-1, given point i; returns j
+        t = lo + (hi - lo) * j / steps
+        if j - i == 1:  # a cell: on the level at its left end, or across
+            right = point(t)
+            roots.extend(left[0] if v0 == 0.0 else bisect(band, left[0], t)
+                         for band, v0, v in zip(bands, left[1], right[1])
+                         if v0 == 0.0 or v0 * v < 0.0)
+            return right
+        # a fit whose bands keep off the level here does so on any part
+        fits = [(model, q) for model, q in fits if not all(
+            b_lo > level or b_hi < level
+            for b_lo, b_hi in _band_bounds(model, q, left[0], t))]
+        return (scan((i + j) // 2, j, scan(i, (i + j) // 2, left, fits), fits)
+                if fits else point(t))
+
     if steps:  # else t0 +- BRACKET_HALF_WIDTH rounds to t0: nothing to scan
-        # the first point has nothing to compare with
-        prev_t, prev, prev_sides = lo, (), ()
         try:
-            for (t, s_lo, s_hi), (_, d_lo, d_hi) in zip(
-                    _band_pass(s, q_s, lo, hi, steps),
-                    _band_pass(d, q_d, lo, hi, steps)):
-                values = v1, v2, v3, v4 = (s_hi - level, s_lo - level,
-                                           -d_lo - level, -d_hi - level)
-                sides = (v1 > 0.0, v2 > 0.0, v3 > 0.0, v4 > 0.0)
-                # a root needs v0 == 0.0, or v0 and v on opposite sides of
-                # zero: test only where a side changes or a v0 is zero
-                if sides != prev_sides or 0.0 in prev:
-                    for band, v0, v in zip(bands, prev, values):
-                        if v0 == 0.0:
-                            roots.append(prev_t)
-                        elif v0 * v < 0.0:
-                            roots.append(bisect(band, prev_t, t))
-                prev_t, prev, prev_sides = t, values, sides
+            scan(0, steps, point(lo), ((s, q_s), (d, q_d)))
         except OverflowError:
             raise OverflowError(f"bands overflow the float range in "
                                 f"[{lo:.6g}, {hi:.6g}]") from None

@@ -511,6 +511,46 @@ class TestExitCodes:
             "b = 0.298277: deficits never overtake surpluses\n")
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_pair_fault_names_the_scope_and_both_fits(self, tmp_path,
+                                                      capsys):
+        # France's balances fit a positive alpha: it cannot be the deficit
+        path = tmp_path / "regions.json"
+        path.write_text('{"EU9+": ["DE"], "EU18-": ["FR"]}')
+        rc = cli.main(["--regions", str(path), "--out", str(tmp_path),
+                       "stability", "--scope", "eu"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: scope eu: deficit model must have negative alpha "
+            "(surplus eu9plus: alpha = 10.4764, beta = 0.298277; deficit "
+            "eu18minus: alpha = 9.47429, beta = 0.0941996)\n")
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("surplus, deficit, rule", (
+        ((-100.0, 0.1), (-50.0, 0.2), "surplus model must have positive "
+                                      "alpha"),
+        ((100.0, 0.1), (50.0, 0.2), "deficit model must have negative "
+                                    "alpha"),
+        ((100.0, -0.1), (-50.0, 0.2), "both growth rates must be positive"),
+    ), ids=("surplus-alpha", "deficit-alpha", "rate"))
+    def test_each_pair_rule_is_exit_3_and_named(self, tmp_path, capsys,
+                                                monkeypatch, surplus,
+                                                deficit, rule):
+        # exact exponentials, so the fits return these alpha and beta
+        params = {"euro7plus": surplus, "euro10minus": deficit}
+        monkeypatch.setattr(
+            reports, "fit_series_points",
+            lambda ds, regions, key: [(t, params[key][0]
+                                       * math.exp(params[key][1] * t))
+                                      for t in range(17)])
+        rc = run(tmp_path, "stability", "--scope", "eurozone")
+        assert rc == 3
+        (a, b), (c, d) = surplus, deficit
+        assert capsys.readouterr().err == (
+            f"error: scope eurozone: {rule} (surplus euro7plus: alpha = "
+            f"{a:g}, beta = {b:g}; deficit euro10minus: alpha = {c:g}, "
+            f"beta = {d:g})\n")
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_unnamed_fault_is_one_line_and_exit_1(self, tmp_path, capsys,
                                                   monkeypatch):
         def explode(dataset, regions, table_id):

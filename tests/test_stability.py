@@ -426,8 +426,10 @@ class TestBandReference:
             self._check(analysis, band_level, monkeypatch)
 
 
-# The scan evaluates the bands in one pass per fit and runs the root test
-# only where a band changes side of the level or sits on it.
+# The scan evaluates both fits' bands at a grid point with _band_point and
+# tests each cell it reaches as a walk over every grid point would: a root
+# where a band sits on the level at the cell's left end or changes side
+# across the cell. TestSkippedStretches covers the stretches it skips.
 
 _LEVEL_RNG = random.Random(1820)
 SCAN_LEVELS = tuple(sorted(_LEVEL_RNG.uniform(0.5, 0.999)
@@ -463,13 +465,10 @@ class TestScan:
         pairs = [*analyses.values(), _toy_pairs()[15]]
         for analysis in pairs:
             _, grid = _scan_grid(analysis, band_level)
-            tp = eb.turning_points(analysis)
-            lo = tp.t0 - stability.BRACKET_HALF_WIDTH
-            hi = tp.t0 + stability.BRACKET_HALF_WIDTH
             for model in (analysis.surplus_model, analysis.deficit_model):
                 q = eb.t_quantile(1.0 - (1.0 - band_level) / 2.0, model.dof)
-                got = list(stability._band_pass(model, q, lo, hi,
-                                                len(grid) - 1))
+                got = [(t, *stability._band_point(model, q, t))
+                       for t, _ in grid]
                 assert got == [(t, *band_envelope(model, t, band_level))
                                for t, _ in grid]
 
@@ -505,3 +504,175 @@ class TestScan:
                                     model, t))
             eb.uncertainty_interval(analysis, 0.99)
             assert 0 < len(calls) < 100
+
+
+# The scan skips the grid stretches where _band_bounds proves that no band
+# touches the level. The walk below tests every cell, as the scan did
+# before it skipped any, and is the oracle for its results and its errors.
+
+def _full_walk_interval(analysis, band_level):
+    """(t_m, t_M) from a root test of every grid cell, or the error type
+    and message, for a pair whose turning-point level is finite."""
+    tp = eb.turning_points(analysis)
+    level, s, d = tp.level, analysis.surplus_model, analysis.deficit_model
+    lo = tp.t0 - stability.BRACKET_HALF_WIDTH
+    hi = tp.t0 + stability.BRACKET_HALF_WIDTH
+    steps = int(round((hi - lo) / stability.SCAN_STEP))
+    bands = (lambda t: band_envelope(s, t, band_level)[1] - level,
+             lambda t: band_envelope(s, t, band_level)[0] - level,
+             lambda t: -band_envelope(d, t, band_level)[0] - level,
+             lambda t: -band_envelope(d, t, band_level)[1] - level)
+    roots, prev = [], None
+    try:
+        for k in range(steps + 1):
+            t = lo + (hi - lo) * k / steps
+            s_lo, s_hi = band_envelope(s, t, band_level)
+            d_lo, d_hi = band_envelope(d, t, band_level)
+            values = (s_hi - level, s_lo - level, -d_lo - level, -d_hi - level)
+            for band, v0, v in zip(bands, prev[1] if prev else (), values):
+                if v0 == 0.0:
+                    roots.append(prev[0])
+                elif v0 * v < 0.0:
+                    roots.append(bisect(band, prev[0], t))
+            prev = t, values
+    except OverflowError:
+        return (OverflowError,
+                f"bands overflow the float range in [{lo:.6g}, {hi:.6g}]")
+    except ValueError as exc:  # a variance that rounds below zero
+        return ValueError, str(exc)
+    if not roots:
+        return (eb.RootNotBracketed,
+                f"no band attains the level {level:.6g} in "
+                f"[{lo:.6g}, {hi:.6g}]")
+    return min(roots), max(roots)
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _interval_ends(analysis, band_level):
+    iv = eb.uncertainty_interval(analysis, band_level)
+    return iv.t_m, iv.t_M
+
+
+def _model(alpha, beta, mse, cov):
+    return ExpFitModel(alpha=alpha, beta=beta, cov=cov, n=17, dof=15,
+                       mse=mse, anova=_toy_model(alpha, beta, mse).anova)
+
+
+def _counting_band_point(monkeypatch):
+    """Patch stability._band_point to record each t it is called at."""
+    real, ts = stability._band_point, []
+    monkeypatch.setattr(stability, "_band_point",
+                        lambda model, q, t: ts.append(t) or real(model, q, t))
+    return ts
+
+
+class TestSkippedStretches:
+    def test_matches_the_full_walk(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def decades(lo, hi):
+            return st.floats(lo, hi).map(lambda x: 10.0 ** x)
+
+        # exact-exponential fits have mse 0 and cov 0; a near-singular cov
+        # with correlation near -1 makes the variance cancel, a singular
+        # one gives it a double root in the window, and one past -1 makes
+        # it negative (sqrt's ValueError, as may rounding at the double
+        # root); rates up to 200 put exp(beta t) beyond the float range
+        mse = st.one_of(st.just(0.0), decades(-12.0, 12.0))
+        correlation = st.one_of(st.just(-1.0), st.floats(-1.0, -0.999),
+                                st.floats(-1.0, 1.0), st.floats(-1.1, -1.0))
+
+        @st.composite
+        def model(draw, alpha, beta, t0):
+            se_a = abs(alpha) * draw(st.just(0.0) | decades(-9.0, 0.0))
+            root = t0 + draw(st.floats(-15.0, 15.0))
+            if draw(st.booleans()) and se_a and root:
+                se_b, rho = se_a / (alpha * root), -1.0
+            else:
+                se_b = draw(st.just(0.0) | decades(-9.0, 0.0))
+                rho = draw(correlation)
+            c01 = rho * se_a * se_b
+            return _model(alpha, beta, draw(mse),
+                          ((se_a * se_a, c01), (c01, se_b * se_b)))
+
+        @st.composite
+        def pairs(draw):
+            b = draw(decades(-3.0, 1.5))
+            d = b * (1.0 + draw(decades(-3.0, 0.8)))
+            a, c = draw(decades(-3.0, 6.0)), draw(decades(-3.0, 6.0))
+            hypothesis.assume(b < d)
+            t0 = math.log(a / c) / (d - b)
+            return eb.GapAnalysis(draw(model(a, b, t0)),
+                                  draw(model(-c, d, t0)))
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(pairs(), st.floats(1e-6, 0.9999, exclude_min=True,
+                                             exclude_max=True))
+        def check(analysis, band_level):
+            hypothesis.assume(math.isfinite(eb.turning_points(analysis).level))
+            want = _full_walk_interval(analysis, band_level)
+            hypothesis.event(getattr(want[0], "__name__", "interval"))
+            assert _outcome(_interval_ends, analysis, band_level) == want
+            reference = _outcome(_reference_interval, analysis, band_level)
+            if want[0] is eb.RootNotBracketed:
+                assert reference is None
+            elif isinstance(want[0], type):
+                assert reference[0] is want[0]
+            else:
+                assert reference == want
+
+        check()
+
+    def test_variance_rounded_below_zero_is_raised(self):
+        # a singular cov, mse 0: the variance has a double root at t = -97.75
+        # in the window, rounding takes it below zero at a grid point
+        # there, and sqrt raises as in the full walk
+        se_a, se_b = 0.29216758590188213, -0.00262957571084199
+        cov = ((se_a * se_a, -se_a * se_b), (-se_a * se_b, se_b * se_b))
+        analysis = eb.GapAnalysis(
+            _model(1.1366451898130356, 0.137472239285322, 0.0, cov),
+            _toy_model(-1438.929947492523, 0.22117842591310874))
+        want = _full_walk_interval(analysis, 0.674243840454784)
+        assert want == (ValueError, "math domain error")
+        assert _outcome(_interval_ends, analysis, 0.674243840454784) == want
+
+    @pytest.mark.parametrize("band_level", (0.5, 0.99))
+    def test_bundled_scopes_evaluate_few_grid_points(self, analyses,
+                                                     band_level, monkeypatch):
+        for analysis in analyses.values():
+            ts = _counting_band_point(monkeypatch)
+            eb.uncertainty_interval(analysis, band_level)
+            # each point once per fit, and at most a tenth of the 3001
+            assert len(ts) == 2 * len(set(ts)) <= 2 * 300
+
+    def test_distant_bands_evaluate_only_the_window_ends(self, monkeypatch):
+        # the pair of test_root_not_bracketed: every band is far from the
+        # level throughout, so one enclosure covers the whole window
+        ts = _counting_band_point(monkeypatch)
+        with pytest.raises(eb.RootNotBracketed):
+            eb.uncertainty_interval(_toy_pairs()[3], 0.99)
+        assert len(set(ts)) <= 10
+
+    @pytest.mark.parametrize("band_level", BAND_LEVELS)
+    def test_bounds_hold_the_bands(self, analyses, band_level):
+        # every band value at a grid point lies in its stretch's bounds
+        for analysis in (*analyses.values(), *_toy_pairs()):
+            level, grid = _scan_grid(analysis, band_level)
+            for model, (upper, lower) in (
+                    (analysis.surplus_model, (0, 1)),
+                    (analysis.deficit_model, (2, 3))):
+                q = eb.t_quantile(1.0 - (1.0 - band_level) / 2.0, model.dof)
+                for i in range(0, len(grid) - 100, 100):
+                    (u_lo, u_hi), (l_lo, l_hi) = stability._band_bounds(
+                        model, q, grid[i][0], grid[i + 100][0])
+                    for _, values in grid[i:i + 101]:
+                        assert u_lo <= values[upper] <= u_hi
+                        assert l_lo <= values[lower] <= l_hi
