@@ -374,26 +374,60 @@ def stability_table(scope: str, analysis: stability.GapAnalysis,
 def _plot_t_cells() -> tuple[str, ...]:
     """The plot's t column, formatted on a process's first plot."""
     steps = int(PLOT_T_MAX * PLOT_STEPS_PER_YEAR)
-    return tuple(sig6(k / PLOT_STEPS_PER_YEAR) for k in range(steps + 1))
+    return tuple(_sig6_cells(tuple(k / PLOT_STEPS_PER_YEAR
+                                   for k in range(steps + 1))))
+
+
+def _sig6_cells(values: tuple[float, ...]) -> list[str]:
+    """[sig6(x) for x in values], from one %.6e and one %.6g pass.
+
+    A cell takes sig6's fast path when its %.6e text has a two-digit
+    exponent (zero's is e+00) and is not a 7-digit tie that reads back as
+    x; the fast path's argument holds for every normal x, so the window
+    need not be sig6's [1e-99, 1e99). As there, e+06 is written e6 and a
+    whole number gets its ".", and -0 is 0. The other cells, a NaN or
+    infinity among them, go to sig6 itself.
+    """
+    n = len(values)
+    e7s = ("%.6e\n" * n % values).split("\n")
+    cells = (("%.6g\n" * n % values).replace("e+0", "e").replace("e-0", "e-")
+             .replace("e+", "e").split("\n"))
+    return [sig6(x) if e7[-4:-3] != "e" or e7[-5] == "5" and float(e7) == x
+            else c if "." in c or "e" in c else "0." if c == "-0" else c + "."
+            for x, e7, c in zip(values, e7s, cells)]
 
 
 def plot_data_table(scope: str, analysis: stability.GapAnalysis,
                     band_level: float) -> Table:
     s_model = analysis.surplus_model
     d_model = analysis.deficit_model
-    rows = []
-    for k, t_cell in enumerate(_plot_t_cells()):
-        t = k / PLOT_STEPS_PER_YEAR
-        surplus = s_model.alpha * math.exp(s_model.beta * t)
-        deficit = d_model.alpha * math.exp(d_model.beta * t)
-        s_lo, s_hi = stability.band_envelope(s_model, t, band_level)
-        d_lo, d_hi = stability.band_envelope(d_model, t, band_level)
-        s, d = sig6(surplus), sig6(deficit)
-        rows.append((t_cell, s, _negated(s), d, _negated(d),
-                     sig6(surplus + deficit),  # the deficit is negative
-                     sig6(s_lo), sig6(s_hi), sig6(-d_hi), sig6(-d_lo)))
+    t_cells = _plot_t_cells()
+    # The values row by row, then each column formatted at once. On a
+    # fault, sig6's error for the first non-finite value in row order
+    # comes first, as if each row were formatted as soon as it is computed.
+    values = []
+    try:
+        for k in range(len(t_cells)):
+            t = k / PLOT_STEPS_PER_YEAR
+            surplus = s_model.alpha * math.exp(s_model.beta * t)
+            deficit = d_model.alpha * math.exp(d_model.beta * t)
+            s_lo, s_hi = stability.band_envelope(s_model, t, band_level)
+            d_lo, d_hi = stability.band_envelope(d_model, t, band_level)
+            values.append((surplus, deficit,
+                           surplus + deficit,  # the deficit is negative
+                           s_lo, s_hi, -d_hi, -d_lo))
+        columns = [_sig6_cells(column) for column in zip(*values)]
+    except Exception:
+        for row in values:
+            for x in row:
+                if not math.isfinite(x):
+                    sig6(x)
+        raise
+    surplus, deficit, *rest = columns
+    rows = tuple(zip(t_cells, surplus, map(_negated, surplus),
+                     deficit, map(_negated, deficit), *rest))
     return Table(f"Plot data: {scope}",
                  ("t", "surplus", "surplus_neg", "deficit", "deficit_mag",
                   "gap", "surplus_band_low", "surplus_band_high",
                   "deficit_mag_band_low", "deficit_mag_band_high"),
-                 tuple(rows))
+                 rows)

@@ -194,6 +194,9 @@ def uncertainty_interval(analysis: GapAnalysis,
         raise RootNotBracketed(
             f"the turning-point level overflows the float range at "
             f"t0 = {tp.t0:.6g}")
+    if level == 0.0:  # S(t0) > 0 lost: bands that underflow would meet it
+        raise RootNotBracketed(
+            f"the turning-point level underflows to 0 at t0 = {tp.t0:.6g}")
     s, d = analysis.surplus_model, analysis.deficit_model
     q_s, q_d = t_quantile(p, s.dof), t_quantile(p, d.dof)
     # the four band curves on the positive (magnitude) axis, less the level

@@ -551,6 +551,21 @@ class TestExitCodes:
             f"beta = {d:g})\n")
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_level_underflow_is_exit_5(self, tmp_path, capsys, monkeypatch):
+        # exact exponentials whose turning-point level S(t0) underflows
+        params = {"euro7plus": (0.028623, 0.831165),
+                  "euro10minus": (-2.22327, 0.833986)}
+        monkeypatch.setattr(
+            reports, "fit_series_points",
+            lambda ds, regions, key: [(t, params[key][0]
+                                       * math.exp(params[key][1] * t))
+                                      for t in range(17)])
+        rc = run(tmp_path, "stability", "--scope", "eurozone")
+        assert rc == 5
+        assert capsys.readouterr().err == (
+            "error: the turning-point level underflows to 0 at t0 = -1542.9\n")
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_unnamed_fault_is_one_line_and_exit_1(self, tmp_path, capsys,
                                                   monkeypatch):
         def explode(dataset, regions, table_id):

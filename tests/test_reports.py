@@ -1,5 +1,6 @@
-"""Six-significant-digit formatting: both paths against a Decimal reference,
-the plot's t column, formatted once per process, and the year tables
+"""Six-significant-digit formatting: both paths and the column formatter
+against a Decimal reference, the plot's t column, formatted once per
+process, the plot against a cell-by-cell reference, and the year tables
 against a region_series reference."""
 import functools
 import importlib.util
@@ -16,11 +17,15 @@ import pytest
 import eubalance as eb
 from eubalance import accounting, cli, reports
 from eubalance.dataset import INPUT_FILES
-from eubalance.reports import _sig6_exact, sig6
+from eubalance.expfit import AnovaTable, ExpFitModel
+from eubalance.reports import _sig6_cells, _sig6_exact, sig6
 
 ROOT = Path(__file__).resolve().parent.parent
 
 MAX = sys.float_info.max
+
+# the stability band levels of tools/output_digest.py
+DIGEST_BAND_LEVELS = (0.5, 0.8, 0.9, 0.95, 0.97, 0.98, 0.99, 0.999)
 
 
 def _sig6_decimal(x: float) -> str:
@@ -181,7 +186,7 @@ class TestSig6FastPath:
             assert sig6(x) == _sig6_decimal(x), repr(x)
 
     def test_report_tables_send_only_ties_to_the_exact_path(
-            self, monkeypatch, dataset, regions):
+            self, monkeypatch, dataset, regions, analyses):
         sent = []
 
         def exact(x):
@@ -191,6 +196,10 @@ class TestSig6FastPath:
         monkeypatch.setattr(reports, "_sig6_exact", exact)
         for table_id in range(1, 13):
             reports.build_table(dataset, regions, table_id)
+        # and both plots at the digest's band levels
+        for band_level in DIGEST_BAND_LEVELS:
+            for scope, analysis in analyses.items():
+                reports.plot_data_table(scope, analysis, band_level)
         # zero has no digits to round
         assert [x for x in sent if x and not _is_7_digit_tie(x)] == []
 
@@ -206,6 +215,158 @@ class TestPlotTColumn:
     def test_plot_reads_the_cells(self, analyses):
         plot = reports.plot_data_table("eu", analyses["eu"], 0.95)
         assert tuple(row[0] for row in plot.rows) == reports._plot_t_cells()
+
+
+def _mixed_values(rng: random.Random) -> list[float]:
+    """Shuffled, both signs: log-uniform values across the float range,
+    inside and outside [1e-99, 1e99), subnormals, 7-digit ties with their
+    neighbours one ulp away, zeros, whole numbers, and values one ulp
+    either side of the 1e-5 and 1e6 notation switches (and the 6-digit
+    boundaries that round onto them) and of 1e-99 and 1e99."""
+    xs = [10.0 ** rng.uniform(-323.0, 308.0) for _ in range(20000)]
+    xs += [struct.unpack("<d", rng.getrandbits(52).to_bytes(8, "little"))[0]
+           for _ in range(2000)]
+    for _ in range(2000):
+        digits, k = rng.randrange(100000, 1000000), rng.randint(-110, 100)
+        tie = float(f"{digits}5e{k}")
+        assert _is_7_digit_tie(tie)
+        xs += (math.nextafter(tie, 0.0), tie, math.nextafter(tie, math.inf))
+    xs += [0.0] * 10
+    xs += [float(rng.randrange(10 ** rng.randint(1, 17))) for _ in range(2000)]
+    for b in (1e-5, 9.999995e-06, 1e-4, 9.999995e-05, 1e6, 999999.5, 1e-99,
+              9.999995e-100, 1e99, 9.999995e98):
+        xs += (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf))
+    xs = [rng.choice((1.0, -1.0)) * x for x in xs]
+    rng.shuffle(xs)
+    return xs
+
+
+class TestSig6Cells:
+    def test_mixed_values_match_sig6_and_decimal(self):
+        xs = _mixed_values(random.Random(20261020))
+        # a plot column's length, and the whole list at once
+        for chunk in (*(xs[i:i + 501] for i in range(0, len(xs), 501)), xs):
+            assert _sig6_cells(tuple(chunk)) == [sig6(x) for x in chunk]
+        assert [sig6(x) for x in xs] == [_sig6_decimal(x) for x in xs]
+
+    def test_lists_match_sig6_and_decimal(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        ties = st.builds(lambda sign, m, k: sign * float(f"{m}5e{k}"),
+                         st.sampled_from((1.0, -1.0)),
+                         st.integers(100000, 999999), st.integers(-330, 300))
+        whole = st.integers(-10 ** 17, 10 ** 17).map(float)
+        edges = st.sampled_from([x for x, _ in EDGES])
+        values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           ties, whole, edges)
+
+        @hypothesis.settings(max_examples=500, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(st.lists(values, max_size=40))
+        def check(xs):
+            want = [_sig6_decimal(x) for x in xs]
+            assert _sig6_cells(tuple(xs)) == [sig6(x) for x in xs] == want
+
+        check()
+
+    @pytest.mark.parametrize("x", (math.nan, math.inf, -math.inf))
+    def test_non_finite_is_named(self, x):
+        with pytest.raises(ValueError) as info:
+            _sig6_cells((1.0, 0.0, x, 2.5))
+        assert str(info.value) == f"cannot format non-finite value {x!r}"
+
+    def test_first_non_finite_is_named(self):
+        with pytest.raises(ValueError) as info:
+            _sig6_cells((1.0, -math.inf, math.nan, math.inf))
+        assert str(info.value) == "cannot format non-finite value -inf"
+
+
+def _reference_plot_rows(analysis, band_level):
+    """The plot's rows a row at a time, one sig6 call per value cell, the
+    negated columns flipped from their cells."""
+    s_model = analysis.surplus_model
+    d_model = analysis.deficit_model
+    rows = []
+    for k in range(501):
+        t = k / 20
+        surplus = s_model.alpha * math.exp(s_model.beta * t)
+        deficit = d_model.alpha * math.exp(d_model.beta * t)
+        s_lo, s_hi = eb.band_envelope(s_model, t, band_level)
+        d_lo, d_hi = eb.band_envelope(d_model, t, band_level)
+        s, d = sig6(surplus), sig6(deficit)
+        rows.append((sig6(t), s, _flipped(s), d, _flipped(d),
+                     sig6(surplus + deficit),
+                     sig6(s_lo), sig6(s_hi), sig6(-d_hi), sig6(-d_lo)))
+    return tuple(rows)
+
+
+def _outcome(func, *args):
+    try:
+        func(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _plot_model(alpha, beta, mse=1.0, cov=((0.0, 0.0), (0.0, 0.0))):
+    anova = AnovaTable(ss_model=1.0, ss_error=mse * 15,
+                       ss_uncorrected_total=1.0 + mse * 15,
+                       ss_corrected_total=1.0, df_model=2, df_error=15,
+                       df_uncorrected=17, df_corrected=16)
+    return ExpFitModel(alpha=alpha, beta=beta, cov=cov, n=17, dof=15,
+                       mse=mse, anova=anova)
+
+
+# Surplus 1e308 e^t is inf from row 12 and deficit -1e308 e^{2t} -inf
+# from row 6; a band of variance 1e308 e^{0.2t} is -inf below from row 0;
+# a deficit cov of diag(1, -k) makes its variance negative once k t^2 > 1
+# (sqrt's ValueError from row 21 for k = 1, row 6 for k = 16), and
+# e^{60t} overflows from row 237.
+_PLOT_FAULTS = {
+    "surplus-inf": ((1e308, 1.0), (-1.0, 0.2),
+                    "cannot format non-finite value inf"),
+    "deficit-row-first": ((1e308, 1.0), (-1e308, 2.0),
+                          "cannot format non-finite value -inf"),
+    "band-inf": ((1.0, 0.1, 1.0, ((1e308, 0.0), (0.0, 1e308))), (-1.0, 0.2),
+                 "cannot format non-finite value -inf"),
+    "sqrt-after-inf": ((1e308, 1.0),
+                       (-1.0, 0.2, 0.0, ((1.0, 0.0), (0.0, -1.0))),
+                       "cannot format non-finite value inf"),
+    "sqrt-before-inf": ((1e308, 1.0),
+                        (-1.0, 0.2, 0.0, ((1.0, 0.0), (0.0, -16.0))),
+                        "math domain error"),
+    "exp-after-inf": ((1e308, 1.0), (-1e-300, 60.0),
+                      "cannot format non-finite value inf"),
+    "exp-only": ((1.0, 0.1), (-1e-300, 60.0), "math range error"),
+}
+
+
+class TestPlotColumns:
+    @pytest.mark.parametrize("band_level", DIGEST_BAND_LEVELS)
+    def test_bundled_plots_match_the_reference(self, analyses, band_level):
+        for scope, analysis in analyses.items():
+            plot = reports.plot_data_table(scope, analysis, band_level)
+            assert plot.rows == _reference_plot_rows(analysis, band_level)
+
+    def test_generated_plots_match_the_reference(self, generated):
+        dataset, regions = generated
+        for scope, keys in reports.STABILITY_SCOPES.items():
+            analysis = eb.GapAnalysis(*(
+                eb.fit_exponential(reports.fit_series_points(
+                    dataset, regions, key)) for key in keys))
+            for band_level in DIGEST_BAND_LEVELS:
+                plot = reports.plot_data_table(scope, analysis, band_level)
+                assert plot.rows == _reference_plot_rows(analysis, band_level)
+
+    @pytest.mark.parametrize("surplus, deficit, message",
+                             _PLOT_FAULTS.values(), ids=_PLOT_FAULTS)
+    def test_first_fault_in_row_order_is_raised(self, surplus, deficit,
+                                                message):
+        analysis = eb.GapAnalysis(_plot_model(*surplus),
+                                  _plot_model(*deficit))
+        want = _outcome(_reference_plot_rows, analysis, 0.99)
+        assert want[1] == message
+        assert _outcome(reports.plot_data_table, "x", analysis, 0.99) == want
 
 
 def _reference_year_rows(dataset, regions, table_id):

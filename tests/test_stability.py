@@ -279,6 +279,18 @@ class TestUncertaintyInterval:
             f"the turning-point level overflows the float range at "
             f"t0 = {tp.t0:.6g}")
 
+    def test_level_underflow_is_named(self):
+        # t0 is about -1542.9, where S(t0) = 0.028623 exp(-1282.4)
+        # underflows to 0; the bands underflow there too, and a zero level
+        # would meet them at every grid point of the window
+        analysis = _toy_analysis(0.028623, 0.831165, 2.22327, 0.833986)
+        tp = eb.turning_points(analysis)
+        assert tp.level == 0.0
+        with pytest.raises(eb.RootNotBracketed) as info:
+            eb.uncertainty_interval(analysis, 0.99)
+        assert str(info.value) == (
+            f"the turning-point level underflows to 0 at t0 = {tp.t0:.6g}")
+
     def test_level_below_the_exp_limit_is_finite(self):
         # b * t0 = 705 lies below exp's overflow limit of about 709.78, so
         # S(t0) = e^705 is finite; the bands overflow further out
@@ -512,7 +524,8 @@ class TestScan:
 
 def _full_walk_interval(analysis, band_level):
     """(t_m, t_M) from a root test of every grid cell, or the error type
-    and message, for a pair whose turning-point level is finite."""
+    and message, for a pair whose turning-point level is finite and not 0
+    (either is RootNotBracketed before any walk)."""
     tp = eb.turning_points(analysis)
     level, s, d = tp.level, analysis.surplus_model, analysis.deficit_model
     lo = tp.t0 - stability.BRACKET_HALF_WIDTH
@@ -617,7 +630,8 @@ class TestSkippedStretches:
         @hypothesis.given(pairs(), st.floats(1e-6, 0.9999, exclude_min=True,
                                              exclude_max=True))
         def check(analysis, band_level):
-            hypothesis.assume(math.isfinite(eb.turning_points(analysis).level))
+            level = eb.turning_points(analysis).level
+            hypothesis.assume(math.isfinite(level) and level != 0.0)
             want = _full_walk_interval(analysis, band_level)
             hypothesis.event(getattr(want[0], "__name__", "interval"))
             assert _outcome(_interval_ends, analysis, band_level) == want
