@@ -164,11 +164,15 @@ def gdp_share(dataset: Dataset, region: RegionDefinition, year: int) -> float:
 
 
 def _gdp_sum(dataset: Dataset, members: Iterable[str], year: int) -> float:
-    gdp = dataset.gdp
-    try:
-        values = [gdp[country, year] for country in members]
+    rows = dataset._gdp_rows  # year -> country -> GDP, built on first use
+    if rows is None:
+        rows = dataset._gdp_rows = {y: {} for y in dataset.years}
+        for (country, y), value in dataset.gdp.items():
+            rows[y][country] = value
+    try:  # every lookup before the sum: a missing GDP beats an overflow
+        values = [*map((row := rows.get(year, {})).__getitem__, members)]
     except KeyError:  # name the same member whatever the set's order
-        missing = min(c for c in members if (c, year) not in gdp)
+        missing = min(c for c in members if c not in row)
         raise MissingGdp(f"no GDP for {missing} {year}") from None
     try:
         return math.fsum(values)
@@ -191,14 +195,18 @@ def load_regions(path) -> dict[str, RegionDefinition]:
     """Region definitions from a JSON object mapping name to code list."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
+    objects: list[list] = []  # each object's pairs, the outermost last
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=lambda pairs:
+                         objects.append(pairs) or dict(pairs))
     except RecursionError:
         raise ValueError("regions file is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError("regions file must be a JSON object")
     out = {}
-    for name, codes in raw.items():
+    for name, codes in objects[-1]:
+        if name in out:
+            raise ValueError(f"region {name!r} is defined twice")
         if (not isinstance(codes, list)
                 or not all(isinstance(c, str) for c in codes)):
             raise ValueError(f"region {name!r} must map to a list of codes")

@@ -119,6 +119,7 @@ class Dataset:
         self._countries = tuple(sorted({c for c, _ in gdp}))
         self._years = tuple(sorted({y for _, y in gdp}))
         self._gdp_totals: dict[int, float] = {}  # for accounting.gdp_share
+        self._gdp_rows: dict[int, dict[str, float]] | None = None  # likewise
 
     @property
     def countries(self) -> tuple[str, ...]:

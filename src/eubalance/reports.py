@@ -9,7 +9,7 @@ two emitted forms of a report always agree cell for cell.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import cache
 
 from . import accounting, expfit, stability
@@ -164,14 +164,37 @@ _TOTALS_TABLES = {
 
 def _totals_table(dataset: Dataset, regions: dict[str, RegionDefinition],
                   title: str, names: Sequence[str]) -> Table:
-    rows = []
-    for name in names:
-        region = _region(regions, name)
-        totals = [accounting.region_total(dataset, region, kind)
-                  for kind in ("CAB", "GGB", "PSB")]
-        rows.append((name, *(sig6(v) for v in totals)))
+    series = _series_by_subject(dataset, regions, "cumulative", [
+        (name, kind) for name in names for kind in ("CAB", "GGB", "PSB")])
     return Table(title, ("region", "cab_total", "ggb_total", "psb_total"),
-                 tuple(rows))
+                 tuple((name, *(sig6([*series(name, kind).values()][-1])
+                                for kind in ("CAB", "GGB", "PSB")))
+                       for name in names))
+
+
+def _series_by_subject(dataset: Dataset, regions: dict[str, RegionDefinition],
+                       mode: str, wanted: Sequence[tuple[str, str]]
+                       ) -> Callable[[str, str], dict[int, float]]:
+    """(subject, kind) -> {t: value} of its region series. Each kind's
+    column is walked once and summed before the next, so one kind's values
+    are held at a time; a fault is raised when its subject is asked for."""
+    summed: dict[tuple[str, str], dict[int, float] | Exception] = {}
+    for kind in dict.fromkeys(k for _, k in wanted):
+        defined = {s: r for s, k in wanted if k == kind
+                   and (r := _COUNTRIES.get(s) or regions.get(s))}
+        for v, (s, r) in zip(accounting._values_by_year(
+                dataset, kind, [*defined.values()]), defined.items()):
+            try:
+                summed[s, kind] = dict(accounting._series(v, r, kind, mode))
+            except accounting.AccountingError as exc:
+                summed[s, kind] = exc
+
+    def series(name: str, kind: str) -> dict[int, float]:
+        _region(regions, name)  # an undefined name fails here
+        if isinstance(got := summed[name, kind], Exception):
+            raise got
+        return got
+    return series
 
 
 # Tables 5-12: a title and (header, measure, subject) columns, one row per
@@ -215,25 +238,13 @@ _YEAR_TABLES = {
 
 def _year_table(dataset: Dataset, regions: dict[str, RegionDefinition],
                 title: str, columns: Sequence[tuple[str, str, str]]) -> Table:
-    # One walk per kind collects the values of each subject whose region
-    # is defined; its first cell checks its region and sums, in row order.
-    by_subject: dict[tuple[str, str], dict[int, list[float]]] = {}
-    for kind in ("GDP", "CAB"):
-        defined = {s: r for _, measure, s in columns
-                   if measure in (kind, "CAB/GDP")
-                   and (r := _COUNTRIES.get(s) or regions.get(s))}
-        walked = accounting._values_by_year(dataset, kind, [*defined.values()])
-        by_subject.update(zip([(s, kind) for s in defined], walked))
-    annual: dict[tuple[str, str], dict[int, float]] = {}
+    series = _series_by_subject(dataset, regions, "annual", [
+        (s, kind) for _, measure, s in columns for kind in ("GDP", "CAB")
+        if measure in (kind, "CAB/GDP")])
 
     def series_at(name: str, kind: str, year: int) -> float:
-        if (name, kind) not in annual:
-            region = _region(regions, name)  # an undefined name fails here
-            points = accounting._series(by_subject[name, kind], region, kind,
-                                        "annual")
-            annual[name, kind] = {BASE_YEAR + t: v for t, v in points}
         try:
-            return annual[name, kind][year]
+            return series(name, kind)[year - BASE_YEAR]
         except KeyError:
             raise accounting.EmptyIntersection(
                 f"no {kind} data for region {name!r} in {year}") from None

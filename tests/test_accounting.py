@@ -268,6 +268,22 @@ class TestRegionAlgebra:
         with pytest.raises(ValueError):
             eb.load_regions(bad)
 
+    def test_load_regions_rejects_a_name_defined_twice(self, tmp_path):
+        path = tmp_path / "regions.json"
+        path.write_text('{"EU9+": ["DE"], "EU9+": ["FR"], "EU18-": ["IT"]}',
+                        encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=r"^region 'EU9\+' is defined twice$"):
+            eb.load_regions(path)
+        # a repeated key inside a region's value is not a region name
+        path.write_text('{"EU9+": {"a": 1, "a": 2}}', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^region 'EU9\+' must map"):
+            eb.load_regions(path)
+        path.write_text('{"EU9+": ["DE"], "EU18-": ["IT"]}', encoding="utf-8")
+        assert {name: region.members for name, region
+                in eb.load_regions(path).items()} == {
+            "EU9+": {"DE"}, "EU18-": {"IT"}}
+
     def test_load_regions_loads_or_raises_value_error(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies

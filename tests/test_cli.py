@@ -286,6 +286,15 @@ class TestExitCodes:
         assert rc == 3
         assert err == "error: regions file is nested too deeply\n"
 
+    def test_region_defined_twice_is_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "regions.json"
+        path.write_text('{"EU9+": ["DE"], "EU9+": ["FR"], "EU18-": ["IT"]}')
+        rc = cli.main(["--regions", str(path), "--out", str(tmp_path),
+                       "report", "--table", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: region 'EU9+' is defined twice\n")
+
     @pytest.mark.parametrize("table", (8, 9))
     def test_region_starting_late_is_exit_3(self, tmp_path, capsys, table):
         # Bulgaria reports no current account before 1998

@@ -1,12 +1,14 @@
 """Six-significant-digit formatting: both paths and the column formatter
 against a Decimal reference, the plot's t column, formatted once per
-process, the plot against a cell-by-cell reference, and the year tables
-against a region_series reference."""
+process, the plot against a cell-by-cell reference, the year tables
+against a region_series reference and the totals tables against a
+region_total reference."""
 import functools
 import importlib.util
 import json
 import math
 import random
+import shutil
 import struct
 import sys
 from decimal import Decimal, ROUND_HALF_UP
@@ -371,7 +373,7 @@ class TestPlotColumns:
 
 def _reference_year_rows(dataset, regions, table_id):
     """A year table's rows from one region_series call per subject and
-    kind, and one gdp_share call per share cell."""
+    kind, and each share cell summed from the GDP column itself."""
     _, columns = reports._YEAR_TABLES[table_id]
 
     @functools.cache
@@ -390,8 +392,10 @@ def _reference_year_rows(dataset, regions, table_id):
                 value = annual(subject, "CAB")[year] / annual(subject,
                                                               "GDP")[year]
             elif measure == "share":
-                value = accounting.gdp_share(
-                    dataset, reports._region(regions, subject), year)
+                members = reports._region(regions, subject).members
+                value = (math.fsum(dataset.gdp[c, year] for c in members)
+                         / math.fsum(dataset.gdp[c, year]
+                                     for c in dataset.countries))
             else:
                 value = math.fsum(values)
             values.append(value)
@@ -442,5 +446,96 @@ class TestYearTables:
         path.write_text(json.dumps(defined), encoding="utf-8")
         rc = cli.main(["--regions", str(path), "--out", str(tmp_path),
                        "report", "--table", str(table_id)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _reference_totals_rows(dataset, regions, table_id):
+    """A totals table's rows from one region_total call per cell."""
+    _, names = reports._TOTALS_TABLES[table_id]
+    return tuple((name, *(sig6(accounting.region_total(
+        dataset, reports._region(regions, name), kind))
+        for kind in ("CAB", "GGB", "PSB"))) for name in names)
+
+
+def _bundled_regions_with(**changed):
+    regions = {name: sorted(region.members) for name, region
+               in accounting.bundled_regions().items()}
+    return {**regions, **changed}
+
+
+def _data_with(tmp_path, edits):
+    """A copy of the bundled data, each {file name: edit} applied to the
+    lines of its file."""
+    data = tmp_path / "data"
+    shutil.copytree(Path(eb.__file__).parent / "data", data)
+    for name, edit in edits.items():
+        lines = (data / name).read_text(encoding="utf-8").split("\n")
+        (data / name).write_text("\n".join(edit(lines)), encoding="utf-8")
+    return data
+
+
+def _german_1995_and_1996(value):
+    """An edit setting Germany's 1995 and 1996 values to value."""
+    def edit(lines):
+        return [f"{line.rsplit(',', 1)[0]},{value}"
+                if line.startswith(("DE,1995,", "DE,1996,")) else line
+                for line in lines]
+    return edit
+
+
+class TestTotalsTables:
+    @pytest.mark.parametrize("table_id", (2, 3, 4))
+    @pytest.mark.parametrize("source", ("bundled", "generated"))
+    def test_cells_match_region_total(self, request, source, table_id):
+        dataset, regions = (
+            (request.getfixturevalue("dataset"),
+             request.getfixturevalue("regions")) if source == "bundled"
+            else request.getfixturevalue("generated"))
+        table = reports.build_table(dataset, regions, table_id)
+        assert table.rows == _reference_totals_rows(dataset, regions,
+                                                    table_id)
+
+    @pytest.mark.parametrize("table_id", (2, 3, 4))
+    def test_each_kind_is_walked_once(self, dataset, regions, monkeypatch,
+                                      table_id):
+        walks = []
+        real = accounting._values_by_year
+
+        def spy(dataset, kind, subjects):
+            walks.append((kind, len(subjects)))
+            return real(dataset, kind, subjects)
+
+        monkeypatch.setattr(accounting, "_values_by_year", spy)
+        reports.build_table(dataset, regions, table_id)
+        names = reports._TOTALS_TABLES[table_id][1]
+        assert walks == [(kind, len(names)) for kind in ("CAB", "GGB", "PSB")]
+
+    # Table 2's rows are Eurozone, EU10, EU9+, EU18-, Germany, EU26, EU27;
+    # within a row CAB is summed before GGB, and GGB before PSB.
+    @pytest.mark.parametrize("regions, edits, message", (
+        ({"EU10": ["ZZ"]}, {}, "region 'Eurozone' is not defined"),
+        (_bundled_regions_with(EU10=["ZZ"]), {},
+         "no CAB data for region 'EU10'"),
+        # Luxembourg's government balances removed: CAB data but no GGB
+        (_bundled_regions_with(EU10=["LU"]),
+         {"ggb.csv": lambda lines: [line for line in lines
+                                    if not line.startswith("LU,")]},
+         "no GGB data for region 'EU10'"),
+        # a German current account of 1e308 in 1995 and again in 1996
+        (None, {"gdp.csv": _german_1995_and_1996("1e308"),
+                "cab_pct.csv": _german_1995_and_1996("1")},
+         "cumulative CAB sum for region 'Eurozone' overflows in 1996"),
+    ), ids=("undefined-first", "no-data-later", "cab-without-ggb",
+            "cumulative-overflow"))
+    def test_first_fault_in_row_order_is_raised(self, tmp_path, capsys,
+                                                regions, edits, message):
+        argv = ["--out", str(tmp_path / "out"),
+                "--data-dir", str(_data_with(tmp_path, edits))]
+        if regions is not None:
+            path = tmp_path / "regions.json"
+            path.write_text(json.dumps(regions), encoding="utf-8")
+            argv += ["--regions", str(path)]
+        rc = cli.main([*argv, "report", "--table", "2"])
         assert rc == 3
         assert capsys.readouterr().err == f"error: {message}\n"
