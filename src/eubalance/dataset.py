@@ -11,7 +11,6 @@ difference between the current-account and government balances.
 """
 from __future__ import annotations
 
-import gc
 import math
 import operator
 import os
@@ -224,19 +223,5 @@ def _read_file(path) -> str:
 
 
 def _load(paths) -> Dataset:
-    """Read and parse each file in turn, then assemble them, with the
-    cyclic collector paused.
-
-    A load builds only acyclic objects (tuples and dicts of atoms),
-    which reference counting frees, so the collector could only
-    traverse them. The caller's collector state is restored, enabled or
-    disabled.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        parts = [parse_table(_read_file(path)) for path in paths]
-        return assemble(*parts)
-    finally:
-        if enabled:
-            gc.enable()
+    """Read and parse each file in turn, then assemble them."""
+    return assemble(*[parse_table(_read_file(path)) for path in paths])

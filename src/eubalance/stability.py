@@ -113,20 +113,9 @@ def _bands(model: ExpFitModel, q: float, t: float) -> tuple[float, float]:
     return pred - spread, pred + spread
 
 
-def _band_point(model: ExpFitModel, q: float, t: float):
-    """_bands' bounds by the same operations in the same order, with
-    exp(beta * t) taken once, shared by the prediction and the gradient."""
-    a, ((c00, c01), (c10, c11)) = model.alpha, model.cov
-    e = math.exp(model.beta * t)
-    g2 = a * t * e
-    spread = q * math.sqrt(model.mse + (e * (c00 * e + c01 * g2)
-                                        + g2 * (c10 * e + c11 * g2)))
-    return a * e - spread, a * e + spread
-
-
 def _band_bounds(model: ExpFitModel, q: float, tl: float, tr: float):
     """(low, high) of the upper and the lower band magnitude |pred| +-
-    spread as _band_point computes them at any float t in [tl, tr]; nan
+    spread as _bands computes them at any float t in [tl, tr]; nan
     if exp nears overflow or the variance is not provably >= 0.
 
     |alpha| e^{beta t} rises for beta > 0, the variance is e^{2 beta t}
@@ -209,8 +198,8 @@ def uncertainty_interval(analysis: GapAnalysis,
     roots: list[float] = []
 
     def point(t):  # t and the four bands less the level there
-        s_lo, s_hi = _band_point(s, q_s, t)
-        d_lo, d_hi = _band_point(d, q_d, t)
+        s_lo, s_hi = _bands(s, q_s, t)
+        d_lo, d_hi = _bands(d, q_d, t)
         return t, (s_hi - level, s_lo - level, -d_lo - level, -d_hi - level)
 
     def scan(i, j, left, fits):  # cells i..j-1, given point i; returns j

@@ -385,34 +385,6 @@ def _collector(enabled):
 
 
 class TestLoadPath:
-    @pytest.fixture
-    def gc_seen(self, monkeypatch):
-        """The collector state inside each parse_table and assemble call."""
-        seen = []
-        parse, build = dataset_mod.parse_table, dataset_mod.assemble
-
-        def parse_probe(text):
-            seen.append(("parse", gc.isenabled()))
-            return parse(text)
-
-        def build_probe(*parts):
-            seen.append(("assemble", gc.isenabled()))
-            return build(*parts)
-
-        monkeypatch.setattr(dataset_mod, "parse_table", parse_probe)
-        monkeypatch.setattr(dataset_mod, "assemble", build_probe)
-        return seen
-
-    @pytest.mark.parametrize("load", (
-        lambda: eb.load_files(*(BUNDLED_DATA / n for n in INPUT_FILES)),
-        eb.load_bundled,
-    ), ids=("load_files", "load_bundled"))
-    def test_collector_paused_during_load(self, gc_seen, load):
-        with _collector(True):
-            assert len(load()) == 459
-            assert gc.isenabled()
-        assert gc_seen == [("parse", False)] * 3 + [("assemble", False)]
-
     def test_collector_restored_after_a_failed_load(self, tmp_path):
         paths = [tmp_path / n for n in INPUT_FILES]
         for path in paths:

@@ -438,10 +438,11 @@ class TestBandReference:
             self._check(analysis, band_level, monkeypatch)
 
 
-# The scan evaluates both fits' bands at a grid point with _band_point and
-# tests each cell it reaches as a walk over every grid point would: a root
-# where a band sits on the level at the cell's left end or changes side
-# across the cell. TestSkippedStretches covers the stretches it skips.
+# The scan evaluates both fits' bands at a grid point with _bands, as the
+# bisect roots and band_envelope do, and tests each cell it reaches as a
+# walk over every grid point would: a root where a band sits on the level
+# at the cell's left end or changes side across the cell.
+# TestSkippedStretches covers the stretches it skips.
 
 _LEVEL_RNG = random.Random(1820)
 SCAN_LEVELS = tuple(sorted(_LEVEL_RNG.uniform(0.5, 0.999)
@@ -473,18 +474,6 @@ class TestScan:
                                                            band_level)
 
     @pytest.mark.parametrize("band_level", (0.5, 0.99))
-    def test_pass_matches_band_envelope(self, analyses, band_level):
-        pairs = [*analyses.values(), _toy_pairs()[15]]
-        for analysis in pairs:
-            _, grid = _scan_grid(analysis, band_level)
-            for model in (analysis.surplus_model, analysis.deficit_model):
-                q = eb.t_quantile(1.0 - (1.0 - band_level) / 2.0, model.dof)
-                got = [(t, *stability._band_point(model, q, t))
-                       for t, _ in grid]
-                assert got == [(t, *band_envelope(model, t, band_level))
-                               for t, _ in grid]
-
-    @pytest.mark.parametrize("band_level", (0.5, 0.99))
     def test_band_on_level_at_grid_point(self, band_level):
         # t0 = 0 is a grid point; with no variance every band passes
         # through the level there, and the root is that grid point
@@ -506,16 +495,6 @@ class TestScan:
         assert not any(level in values for _, values in grid)
         iv = eb.uncertainty_interval(analysis, band_level)
         assert (iv.t_m, iv.t_M) == _reference_interval(analysis, band_level)
-
-    def test_se_single_only_refines_crossings(self, analyses, monkeypatch):
-        real = stability.se_single
-        for analysis in analyses.values():
-            calls = []
-            monkeypatch.setattr(stability, "se_single",
-                                lambda model, t: calls.append(t) or real(
-                                    model, t))
-            eb.uncertainty_interval(analysis, 0.99)
-            assert 0 < len(calls) < 100
 
 
 # The scan skips the grid stretches where _band_bounds proves that no band
@@ -577,11 +556,26 @@ def _model(alpha, beta, mse, cov):
                        mse=mse, anova=_toy_model(alpha, beta, mse).anova)
 
 
-def _counting_band_point(monkeypatch):
-    """Patch stability._band_point to record each t it is called at."""
-    real, ts = stability._band_point, []
-    monkeypatch.setattr(stability, "_band_point",
-                        lambda model, q, t: ts.append(t) or real(model, q, t))
+def _counting_grid_points(monkeypatch):
+    """Patch stability._bands to record each t it is called at outside
+    stability.bisect, whose calls at a cell's ends are grid points too."""
+    real_bands, real_bisect = stability._bands, stability.bisect
+    ts, refining = [], []
+
+    def counted_bands(model, q, t):
+        if not refining:
+            ts.append(t)
+        return real_bands(model, q, t)
+
+    def marked_bisect(*args):
+        refining.append(True)
+        try:
+            return real_bisect(*args)
+        finally:
+            refining.pop()
+
+    monkeypatch.setattr(stability, "_bands", counted_bands)
+    monkeypatch.setattr(stability, "bisect", marked_bisect)
     return ts
 
 
@@ -662,18 +656,20 @@ class TestSkippedStretches:
     def test_bundled_scopes_evaluate_few_grid_points(self, analyses,
                                                      band_level, monkeypatch):
         for analysis in analyses.values():
-            ts = _counting_band_point(monkeypatch)
+            ts = _counting_grid_points(monkeypatch)
             eb.uncertainty_interval(analysis, band_level)
-            # each point once per fit, and at most a tenth of the 3001
+            # each point once per fit, and at most a tenth of the 3001;
+            # the window's two ends at least
             assert len(ts) == 2 * len(set(ts)) <= 2 * 300
+            assert len(set(ts)) >= 2
 
     def test_distant_bands_evaluate_only_the_window_ends(self, monkeypatch):
         # the pair of test_root_not_bracketed: every band is far from the
         # level throughout, so one enclosure covers the whole window
-        ts = _counting_band_point(monkeypatch)
+        ts = _counting_grid_points(monkeypatch)
         with pytest.raises(eb.RootNotBracketed):
             eb.uncertainty_interval(_toy_pairs()[3], 0.99)
-        assert len(set(ts)) <= 10
+        assert 2 <= len(set(ts)) <= 10
 
     @pytest.mark.parametrize("band_level", BAND_LEVELS)
     def test_bounds_hold_the_bands(self, analyses, band_level):

@@ -2,13 +2,12 @@
 
 Runs the 40 commands of ``tools/output_digest.py`` in this process, on
 this checkout's ``src``, and records every value given to
-``reports.sig6``, or as a column to ``reports._sig6_cells`` where the
-checkout has it. sig6 prints six significant digits, so its output
-changes only where a value crosses a 7-digit decimal ending in 5. The
-tool prints the smallest relative distance from a recorded value to such
-a boundary, with the value and its command, and how many values lie
-within ``--within`` of one. Like the digest, the figures hold for one
-platform's ``math.exp``.
+``reports.sig6``, or as a column to ``reports._sig6_cells``. sig6
+prints six significant digits, so its output changes only where a value
+crosses a 7-digit decimal ending in 5. The tool prints the smallest
+relative distance from a recorded value to such a boundary, with the
+value and its command, and how many values lie within ``--within`` of
+one. Like the digest, the figures hold for one platform's ``math.exp``.
 
     python tools/byte_margin.py [--within 1e-9]
 
@@ -53,7 +52,7 @@ def record() -> list[tuple[float, str]]:
     """Every value the digest set formats, with its command line."""
     seen: list[float] = []
     real_sig6 = reports.sig6
-    real_cells = getattr(reports, "_sig6_cells", None)
+    real_cells = reports._sig6_cells
     inside = []  # set while a column is formatted: its sig6 calls are in it
 
     def sig6(x):
@@ -70,9 +69,7 @@ def record() -> list[tuple[float, str]]:
             inside.pop()
 
     out: list[tuple[float, str]] = []
-    reports.sig6 = sig6
-    if real_cells:
-        reports._sig6_cells = sig6_cells
+    reports.sig6, reports._sig6_cells = sig6, sig6_cells
     try:
         for argv in commands():
             reports._plot_t_cells.cache_clear()
@@ -82,9 +79,7 @@ def record() -> list[tuple[float, str]]:
             out += ((x, " ".join(argv)) for x in seen)
             seen.clear()
     finally:
-        reports.sig6 = real_sig6
-        if real_cells:
-            reports._sig6_cells = real_cells
+        reports.sig6, reports._sig6_cells = real_sig6, real_cells
     return out
 
 
