@@ -24,6 +24,7 @@ from .accounting import (
     DegenerateSpan,
     EmptyIntersection,
     RegionDefinition,
+    SumOverflow,
     TotalsRow,
     average_rate,
     bundled_regions,

@@ -20,6 +20,16 @@ EXIT_DATA = 3
 EXIT_SOLVER = 4
 EXIT_NO_INTERSECTION = 5
 
+# A failed command's exit code: the first entry naming the fault's class,
+# else 1 (an internal error). OSError is a path that cannot be used.
+_EXIT_CODES = (
+    (expfit.FitError, EXIT_SOLVER),
+    (stability.StabilityError, EXIT_NO_INTERSECTION),
+    ((dataset.DatasetError, accounting.AccountingError, ValueError,
+      ArithmeticError), EXIT_DATA),
+    (OSError, EXIT_CONFIG),
+)
+
 
 # Built once per process: parse_args and error leave the parser as it was,
 # and each parse_args call returns a fresh Namespace.
@@ -111,7 +121,7 @@ def _fit(ds, regions, series_key: str):
     except OverflowError:
         raise OverflowError(f"fit of series {series_key} overflows the "
                             f"float range") from None
-    except expfit.FitError as exc:
+    except (expfit.FitError, ValueError) as exc:
         raise type(exc)(f"fit of series {series_key}: {exc}") from None
 
 
@@ -176,23 +186,13 @@ def main(argv=None) -> int:
                       for text in echoes]
         sys.stdout.write("".join(echoes))
         return EXIT_OK
-    except expfit.FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except stability.StabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_INTERSECTION
-    except (dataset.DatasetError, accounting.AccountingError,
-            ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:  # an input or output path that cannot be used
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:  # a fault no handler above names
-        print(f"error: internal error: {type(exc).__name__}: {exc}",
+    except Exception as exc:  # not SystemExit or KeyboardInterrupt
+        code = next((code for kinds, code in _EXIT_CODES
+                     if isinstance(exc, kinds)), 1)
+        print(f"error: {exc}" if code != 1 else
+              f"error: internal error: {type(exc).__name__}: {exc}",
               file=sys.stderr)
-        return 1  # SystemExit and KeyboardInterrupt are not caught
+        return code
 
 
 if __name__ == "__main__":

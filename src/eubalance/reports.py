@@ -47,21 +47,25 @@ PLOT_STEPS_PER_YEAR = 20  # grid step 0.05
 def sig6(x: float) -> str:
     """Render x with 6 significant digits, half rounded away from zero.
 
-    The digits are repr(x)'s rounded half-up. A normal x and every decimal
-    that reads back as x lie within a relative 2**-53 of each other, far
-    closer than 7-digit decimals lie to each other. So a 6-digit rounding
-    boundary (a 7-digit tie) lies between x and repr(x), or on repr(x),
-    only when repr(x) is that tie; then x's %.6e digits show it and read
-    back as x. Otherwise %.6g gives the same digits, in e-notation outside
-    exponents -4..5.
+    The digits are repr(x)'s rounded half-up. printf's %.6g rounds x's
+    binary value instead, and gives the same digits unless a 6-digit
+    rounding boundary (a 7-digit tie) lies between x and repr(x), or on
+    repr(x). When x's %.6e text has a two-digit exponent, x is zero or
+    normal. A normal x and every decimal that reads back as x lie within a
+    relative 2**-53 of each other, far closer than 7-digit decimals lie to
+    each other, so that happens only when repr(x) is the tie; then x's %.6e
+    digits show it and read back as x. Every other such x takes the %.6g
+    text, in e-notation outside exponents -4..5: e+06 is written e6 and
+    e-05 e-5, a whole number gets its ".", and -0 is 0. A tie, a
+    three-digit exponent, a NaN or an infinity goes to _sig6_exact.
     """
-    e7 = "%.6e" % x  # 7 digits; in the window, e7[-5] is the 7th
-    if 1e-99 <= abs(x) < 1e99 and (e7[-5] != "5" or float(e7) != x):
-        s, e, exp = ("%.6g" % x).partition("e")
-        if e:
-            return f"{s}e{int(exp)}"  # e+06 -> e6, e-05 -> e-5
-        return s if "." in s else s + "."
-    return _sig6_exact(x)
+    e7 = "%.6e" % x  # 7 digits; with a two-digit exponent, e7[-5] is the 7th
+    if e7[-4:-3] != "e" or e7[-5] == "5" and float(e7) == x:
+        return _sig6_exact(x)
+    c = "%.6g" % x
+    if "e" in c:
+        return c.replace("e+0", "e").replace("e-0", "e-").replace("e+", "e")
+    return c if "." in c else "0." if c == "-0" else c + "."
 
 
 def _sig6_exact(x: float) -> str:
@@ -390,20 +394,14 @@ def _plot_t_cells() -> tuple[str, ...]:
 
 
 def _sig6_cells(values: tuple[float, ...]) -> list[str]:
-    """[sig6(x) for x in values], from one %.6e and one %.6g pass.
-
-    A cell takes sig6's fast path when its %.6e text has a two-digit
-    exponent (zero's is e+00) and is not a 7-digit tie that reads back as
-    x; the fast path's argument holds for every normal x, so the window
-    need not be sig6's [1e-99, 1e99). As there, e+06 is written e6 and a
-    whole number gets its ".", and -0 is 0. The other cells, a NaN or
-    infinity among them, go to sig6 itself.
-    """
+    """[sig6(x) for x in values]: sig6's rule over a column, from one %.6e
+    and one %.6g pass."""
     n = len(values)
     e7s = ("%.6e\n" * n % values).split("\n")
     cells = (("%.6g\n" * n % values).replace("e+0", "e").replace("e-0", "e-")
              .replace("e+", "e").split("\n"))
-    return [sig6(x) if e7[-4:-3] != "e" or e7[-5] == "5" and float(e7) == x
+    return [_sig6_exact(x)
+            if e7[-4:-3] != "e" or e7[-5] == "5" and float(e7) == x
             else c if "." in c or "e" in c else "0." if c == "-0" else c + "."
             for x, e7, c in zip(values, e7s, cells)]
 

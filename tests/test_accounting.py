@@ -160,6 +160,10 @@ class TestTotals:
         with pytest.raises(SumOverflow, match="^PSB total for DE overflows$"):
             eb.totals_table(ds)
 
+    def test_sum_overflow_is_exported(self):
+        assert eb.SumOverflow is accounting.SumOverflow
+        assert issubclass(eb.SumOverflow, eb.AccountingError)
+
     def test_psb_total_is_the_rounded_difference(self, dataset):
         for row in eb.totals_table(dataset):
             assert row.psb_total == row.cab_total - row.ggb_total

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from eubalance import accounting, cli, expfit, reports, stability
+from eubalance.dataset import DuplicateKey
 
 import golden_values as gv
 
@@ -43,6 +44,25 @@ def _huge_cab(codes, years, ggb=None):
     if ggb is not None:
         edits["ggb.csv"] = dict.fromkeys(rows, ggb)
     return edits
+
+
+# One fault of each entry of cli's exit-code table, with its code and its
+# stderr line.
+_FAULTS = (
+    (DuplicateKey("duplicate row for DE 1995"), 3,
+     "error: duplicate row for DE 1995\n"),
+    (accounting.EmptyIntersection("no CAB data for region 'X'"), 3,
+     "error: no CAB data for region 'X'\n"),
+    (ValueError("forced"), 3, "error: forced\n"),
+    (ZeroDivisionError("float division by zero"), 3,
+     "error: float division by zero\n"),
+    (PermissionError(13, "Permission denied", "table_2.csv"), 2,
+     "error: [Errno 13] Permission denied: 'table_2.csv'\n"),
+    (expfit.NoConvergence("forced"), 4, "error: forced\n"),
+    (stability.RootNotBracketed("forced"), 5, "error: forced\n"),
+    (RuntimeError("forced"), 1,
+     "error: internal error: RuntimeError: forced\n"),
+)
 
 
 class TestReport:
@@ -498,6 +518,25 @@ class TestExitCodes:
             f"error: fit of series {series}: {message}\n")
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("argv", (
+        ("fit", "--series", "eu9plus"), ("stability", "--scope", "eu"),
+    ), ids=("fit", "stability"))
+    def test_too_few_points_names_the_series(self, tmp_path, capsys, argv):
+        # only the 2010 and 2011 rows: each series has two points
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("gdp.csv", "cab_pct.csv", "ggb.csv"):
+            header, *lines = (BUNDLED_DATA / name).read_text().splitlines()
+            (data / name).write_text("\n".join(
+                [header, *(line for line in lines
+                           if line[3:8] in ("2010,", "2011,"))]) + "\n")
+        rc = cli.main(["--data-dir", str(data), "--out", str(tmp_path),
+                       *argv])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: fit of series eu9plus: need at least 3 points\n")
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_zero_uncorrected_total_is_exit_4(self, tmp_path, monkeypatch,
                                               capsys):
         def explode(model):
@@ -585,6 +624,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: internal error: RuntimeError: forced\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc, code, err", _FAULTS,
+                             ids=[type(exc).__name__ for exc, _, _ in _FAULTS])
+    def test_each_fault_class_has_its_exit_code(self, tmp_path, capsys,
+                                                monkeypatch, exc, code, err):
+        def explode(dataset, regions, table_id):
+            raise exc
+        monkeypatch.setattr(reports, "build_table", explode)
+        assert run(tmp_path, "report", "--table", "2") == code
+        assert capsys.readouterr().err == err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("exc", (SystemExit(7), KeyboardInterrupt()),
                              ids=("SystemExit", "KeyboardInterrupt"))

@@ -154,13 +154,13 @@ def _is_7_digit_tie(x: float) -> bool:
 
 
 def _fast_path_window(rng: random.Random) -> list[float]:
-    """Log-uniform values over sig6's printf window [1e-99, 1e99), both
-    signs, then values one ulp either side of the 6-digit rounding
-    boundaries (7th digit 5, or the power itself) and of the 7-digit ones
-    (8th digit 5, where the 7th-digit guard flips) near each power of ten
-    from 1e-6 to 1e7, then 7-digit ties across the window with their
-    neighbours one ulp away, which share the tie's %.6e digits but do not
-    read back from them."""
+    """Log-uniform values over [1e-99, 1e99), where %.6e has a two-digit
+    exponent, both signs, then values one ulp either side of the 6-digit
+    rounding boundaries (7th digit 5, or the power itself) and of the
+    7-digit ones (8th digit 5, where the 7th-digit guard flips) near each
+    power of ten from 1e-6 to 1e7, then 7-digit ties across the window
+    with their neighbours one ulp away, which share the tie's %.6e digits
+    but do not read back from them."""
     xs = [rng.choice((1, -1)) * 10.0 ** rng.uniform(-99, 99)
           for _ in range(200000)]
     for k in range(-6, 8):
@@ -202,8 +202,7 @@ class TestSig6FastPath:
         for band_level in DIGEST_BAND_LEVELS:
             for scope, analysis in analyses.items():
                 reports.plot_data_table(scope, analysis, band_level)
-        # zero has no digits to round
-        assert [x for x in sent if x and not _is_7_digit_tie(x)] == []
+        assert [x for x in sent if not _is_7_digit_tie(x)] == []
 
 
 class TestPlotTColumn:
@@ -222,9 +221,11 @@ class TestPlotTColumn:
 def _mixed_values(rng: random.Random) -> list[float]:
     """Shuffled, both signs: log-uniform values across the float range,
     inside and outside [1e-99, 1e99), subnormals, 7-digit ties with their
-    neighbours one ulp away, zeros, whole numbers, and values one ulp
-    either side of the 1e-5 and 1e6 notation switches (and the 6-digit
-    boundaries that round onto them) and of 1e-99 and 1e99."""
+    neighbours one ulp away, zeros, whole numbers, values one ulp either
+    side of the 1e-5 and 1e6 notation switches (and the 6-digit boundaries
+    that round onto them) and of 1e-99, 1e99 and 1e100, where the %.6e
+    exponent gains or loses a digit, and -0.0 and 0.0 between the smallest
+    subnormals."""
     xs = [10.0 ** rng.uniform(-323.0, 308.0) for _ in range(20000)]
     xs += [struct.unpack("<d", rng.getrandbits(52).to_bytes(8, "little"))[0]
            for _ in range(2000)]
@@ -236,20 +237,32 @@ def _mixed_values(rng: random.Random) -> list[float]:
     xs += [0.0] * 10
     xs += [float(rng.randrange(10 ** rng.randint(1, 17))) for _ in range(2000)]
     for b in (1e-5, 9.999995e-06, 1e-4, 9.999995e-05, 1e6, 999999.5, 1e-99,
-              9.999995e-100, 1e99, 9.999995e98):
+              9.999995e-100, 1e99, 9.999995e98, 1e100, 9.9999995e99):
         xs += (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf))
     xs = [rng.choice((1.0, -1.0)) * x for x in xs]
+    xs += (-5e-324, -0.0, 0.0, 5e-324)
     rng.shuffle(xs)
     return xs
 
 
+@functools.cache
+def _mixed_set() -> tuple[list[float], list[str]]:
+    """_mixed_values at a fixed seed, and their Decimal-reference cells."""
+    xs = _mixed_values(random.Random(20261020))
+    return xs, [_sig6_decimal(x) for x in xs]
+
+
+def _refuse(*args):
+    raise AssertionError("one formatter called the other")
+
+
 class TestSig6Cells:
     def test_mixed_values_match_sig6_and_decimal(self):
-        xs = _mixed_values(random.Random(20261020))
+        xs, want = _mixed_set()
         # a plot column's length, and the whole list at once
         for chunk in (*(xs[i:i + 501] for i in range(0, len(xs), 501)), xs):
             assert _sig6_cells(tuple(chunk)) == [sig6(x) for x in chunk]
-        assert [sig6(x) for x in xs] == [_sig6_decimal(x) for x in xs]
+        assert [sig6(x) for x in xs] == want
 
     def test_lists_match_sig6_and_decimal(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -270,6 +283,20 @@ class TestSig6Cells:
             assert _sig6_cells(tuple(xs)) == [sig6(x) for x in xs] == want
 
         check()
+
+    def test_cells_format_without_sig6(self, monkeypatch):
+        xs, want = _mixed_set()
+        monkeypatch.setattr(reports, "sig6", _refuse)
+        assert _sig6_cells(tuple(xs)) == want
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^cannot format non-finite "
+                               f"value {x!r}$"):
+                _sig6_cells((1.0, x))
+
+    def test_sig6_formats_without_cells(self, monkeypatch):
+        xs, want = _mixed_set()
+        monkeypatch.setattr(reports, "_sig6_cells", _refuse)
+        assert [sig6(x) for x in xs] == want
 
     @pytest.mark.parametrize("x", (math.nan, math.inf, -math.inf))
     def test_non_finite_is_named(self, x):

@@ -1,8 +1,9 @@
 """One sha256 over every output of the 40-command CLI set.
 
 Runs, each as its own ``python -m eubalance.cli`` process on this
-checkout's ``src``: tables 1-12, the four fits at ``--level`` 0.95, 0.5
-and 0.999, and both stability scopes at eight ``--band-level`` values.
+checkout's ``src``: tables 1-12, each series of ``reports.FIT_SERIES``
+at ``--level`` 0.95, 0.5 and 0.999, and each scope of
+``reports.STABILITY_SCOPES`` at eight ``--band-level`` values.
 The digest covers each command's argv, exit code, stdout, stderr and
 every file it writes, so two checkouts that print the same digest
 produce byte-identical output.
@@ -29,7 +30,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-SERIES = ("eu9plus", "eu18minus", "euro7plus", "euro10minus")
+sys.path.insert(0, str(SRC))
+
+from eubalance import reports  # noqa: E402
+
 FIT_LEVELS = ("0.95", "0.5", "0.999")
 BAND_LEVELS = ("0.5", "0.8", "0.9", "0.95", "0.97", "0.98", "0.99", "0.999")
 
@@ -37,9 +41,9 @@ BAND_LEVELS = ("0.5", "0.8", "0.9", "0.95", "0.97", "0.98", "0.99", "0.999")
 def commands() -> list[list[str]]:
     return ([["report", "--table", str(n)] for n in range(1, 13)]
             + [["fit", "--series", s, "--level", lv]
-               for s in SERIES for lv in FIT_LEVELS]
+               for s in reports.FIT_SERIES for lv in FIT_LEVELS]
             + [["stability", "--scope", s, "--band-level", lv]
-               for s in ("eu", "eurozone") for lv in BAND_LEVELS])
+               for s in reports.STABILITY_SCOPES for lv in BAND_LEVELS])
 
 
 def digest(data_args: list[str]) -> str:
