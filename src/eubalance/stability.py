@@ -17,7 +17,6 @@ from .expfit import ExpFitModel, _two_sided, bisect, se_single, t_quantile
 
 DEFAULT_BAND_LEVEL = 0.99
 BRACKET_HALF_WIDTH = 15.0
-SCAN_STEP = 0.01
 
 
 class StabilityError(Exception):
@@ -113,41 +112,67 @@ def _bands(model: ExpFitModel, q: float, t: float) -> tuple[float, float]:
     return pred - spread, pred + spread
 
 
-def _band_bounds(model: ExpFitModel, q: float, tl: float, tr: float):
-    """(low, high) of the upper and the lower band magnitude |pred| +-
-    spread as _bands computes them at any float t in [tl, tr]; nan
-    if exp nears overflow or the variance is not provably >= 0.
+def _crossings(model: ExpFitModel, q: float, level: float,
+               lo: float, hi: float) -> list[float]:
+    """Every crossing of level by model's two band magnitudes |pred| +-
+    q se in [lo, hi], unordered: bisect's root of band - level on each
+    stretch between two cuts across which the band changes side.
 
-    |alpha| e^{beta t} rises for beta > 0, the variance is e^{2 beta t}
-    times a quadratic in t, bounded from its ends and vertex, and sqrt
-    rises. In u = 2**-53, the rounded exp argument (|beta t| u off) and
-    libm's exp (an ulp) put e^{beta t} within (beta T + 2) u, T = max |t|.
-    A variance term has two such factors and 8 roundings more: a variance,
-    at a point or here, is within dv = eps (mse + A), eps = (2 beta T +
-    20) u, A its terms' magnitudes, 7 u to spare; the spread within q
-    sqrt(dv), the rest within eps relative. An underflow adds 2**-1074
-    times the factors after it, in all below (|c| + 1) W^2, W = 2 (1 + e)
-    (1 + |alpha|) (1 + T), or 0 if cov is 0. Twice this widens the bounds.
+    With A = |alpha|, L = level and V = c00 + (c01 + c10) alpha t + c11
+    alpha^2 t^2, se^2 = mse + e^{2 beta t} V, so h = (upper - L)(lower -
+    L) = e^{2 beta t} (A^2 - q^2 V) - 2 A L e^{beta t} + L^2 - q^2 mse,
+    and k = e^{-beta t} h' has k' = e^{beta t} P with P = 2 beta^2 (A^2 -
+    q^2 V) - 3 beta q^2 V' - q^2 V'', a quadratic. P's roots cut the
+    window where k is monotone, k's zeros (bisect's) cut it where h is,
+    and where h is monotone at most one band crosses, once: the cuts are
+    the ends, P's roots, k's zeros and the t where |pred| meets L (t0,
+    for either fit of a pair). P and k are taken in units of the level,
+    as m = A e^{beta t} / L = e^{beta (t - tm)} and V / A^2, and k is
+    divided by max(m, 1), so no band value is squared and k stays finite.
+    The bands themselves come from _bands, unscaled. Their sides are
+    compared, a zero counting as non-negative as in bisect; one that is
+    not finite at a point evaluated raises OverflowError, and a variance
+    that rounds below zero there raises sqrt's ValueError. An empty
+    window, lo == hi, holds no crossing.
     """
-    a, b, mse = abs(model.alpha), model.beta, model.mse
+    if not lo < hi:
+        return []
+    alpha, b, qq = model.alpha, model.beta, q * q
+    sign = 1.0 if alpha > 0.0 else -1.0
     (c00, c01), (c10, c11) = model.cov
-    el, er = math.exp(b * tl), math.exp(b * tr) if b * tr < 709 else math.inf
-    tmax, k1, k2 = max(-tl, tr), (c01 + c10) * model.alpha, c11 * a * a
-    ts = (tl, tr, min(max(-k1 / (2.0 * k2), tl), tr)) if k2 else (tl, tr)
-    qmin, qmax = min(qs := [c00 + (k1 + k2 * t) * t for t in ts]), max(qs)
-    vmin = qmin * (el * el if qmin >= 0.0 else er * er)
-    vmax = qmax * (er * er if qmax >= 0.0 else el * el)
-    eps, at = (2.0 * b * tmax + 20.0) * 2.0 ** -53, a * tmax
-    n0, n1, n2 = abs(c00), abs(c01) + abs(c10), abs(c11)
-    w = 2.0 * (1.0 + er) * (1.0 + a) * (1.0 + tmax)
-    dv = eps * (mse + er * er * (n0 + (n1 + n2 * at) * at))
-    dv += 2.0 ** -1068 * (n0 + n1 + n2 + 1.0) * w * w if n0 + n1 + n2 else 0.0
-    if not mse + vmin >= 2.0 * dv >= 0.0:
-        return (math.nan, math.nan), (math.nan, math.nan)
-    s_lo, s_hi = q * math.sqrt(mse + vmin), q * math.sqrt(mse + vmax)
-    pad = 2.0 * (eps * (a * er + s_hi) + q * math.sqrt(dv) + 2.0 ** -1068 * w)
-    return ((a * el + s_lo - pad, a * er + s_hi + pad),
-            (a * el - s_hi - pad, a * er - s_lo + pad))
+    r0, r1, r2 = c00 / alpha / alpha, (c01 + c10) / alpha, c11  # V / A^2
+    # k / (A L) = m g - 2 beta, g = 2 beta (1 - q^2 V/A^2) - q^2 (V/A^2)'
+    g0, g1, g2 = (2.0 * b * (1.0 - qq * r0) - qq * r1,
+                  -2.0 * qq * (b * r1 + r2), -2.0 * b * qq * r2)
+    p0, p1, p2 = b * g0 + g1, b * g1 + 2.0 * g2, b * g2  # P / A^2
+    tm = (math.log(level) - math.log(abs(alpha))) / b
+
+    def k(t):
+        x = b * (t - tm)
+        return ((g0 + (g1 + g2 * t) * t) * math.exp(min(x, 0.0))
+                - 2.0 * b * math.exp(-max(x, 0.0)))
+
+    def sides(t):
+        vs = [sign * v - level for v in _bands(model, q, t)]
+        if not all(map(math.isfinite, vs)):
+            raise OverflowError
+        return vs
+
+    if p2:  # P's roots, as in Numerical Recipes 5.6
+        disc = p1 * p1 - 4.0 * p2 * p0
+        w = -0.5 * (p1 + math.copysign(math.sqrt(disc), p1)) if disc > 0 else 0
+        roots = (w / p2, p0 / w) if w else ()
+    else:
+        roots = (-p0 / p1,) if p1 else ()
+    cuts = sorted({lo, hi, *(t for t in roots if lo < t < hi)})
+    ks = [k(t) < 0.0 for t in cuts]
+    cuts += [bisect(k, t, u) for t, u, kt, ku
+             in zip(cuts, cuts[1:], ks, ks[1:]) if kt != ku]
+    cuts = sorted({*cuts, *([tm] if lo < tm < hi else [])})
+    values = list(map(sides, cuts))
+    return [bisect(lambda t: sides(t)[i], t, u)
+            for t, u, vt, vu in zip(cuts, cuts[1:], values, values[1:])
+            for i in (0, 1) if (vt[i] < 0.0) != (vu[i] < 0.0)]
 
 
 def band_envelope(model: ExpFitModel, t: float,
@@ -165,12 +190,12 @@ def uncertainty_interval(analysis: GapAnalysis,
     intersected with the horizontal line at the turning-point level. Bands
     that never reach the level inside [t0 - 15, t0 + 15] contribute no
     root; the interval spans the earliest and latest of the roots found.
-    The rule is a walk over the grid of step SCAN_STEP: a band on the
-    level at a grid point crosses there; any other crossing is bisect's
-    float-adjacent root of band - level in a cell where it changes side.
-    Stretches that _band_bounds proves no band touches hold no crossing
-    or error and are skipped; the rest get the walk's tests in grid
-    order: the same cells are bisected, every result and error the walk's.
+    The crossings are isolated exactly, not sought on a grid: _crossings
+    gives each fit's, every one bisect's float-adjacent root of band -
+    level between two cuts where the band changes side. A band that is
+    not finite at a point evaluated raises OverflowError naming the
+    window; when t0 +- 15 rounds to t0 the window is empty and holds no
+    crossing.
     """
     p = _two_sided(band_level, "band_level")
     if analysis.d <= analysis.b:
@@ -186,43 +211,15 @@ def uncertainty_interval(analysis: GapAnalysis,
     if level == 0.0:  # S(t0) > 0 lost: bands that underflow would meet it
         raise RootNotBracketed(
             f"the turning-point level underflows to 0 at t0 = {tp.t0:.6g}")
-    s, d = analysis.surplus_model, analysis.deficit_model
-    q_s, q_d = t_quantile(p, s.dof), t_quantile(p, d.dof)
-    # the four band curves on the positive (magnitude) axis, less the level
-    bands = (lambda t: _bands(s, q_s, t)[1] - level,
-             lambda t: _bands(s, q_s, t)[0] - level,
-             lambda t: -_bands(d, q_d, t)[0] - level,
-             lambda t: -_bands(d, q_d, t)[1] - level)
     lo, hi = tp.t0 - BRACKET_HALF_WIDTH, tp.t0 + BRACKET_HALF_WIDTH
-    steps = int(round((hi - lo) / SCAN_STEP))
-    roots: list[float] = []
-
-    def point(t):  # t and the four bands less the level there
-        s_lo, s_hi = _bands(s, q_s, t)
-        d_lo, d_hi = _bands(d, q_d, t)
-        return t, (s_hi - level, s_lo - level, -d_lo - level, -d_hi - level)
-
-    def scan(i, j, left, fits):  # cells i..j-1, given point i; returns j
-        t = lo + (hi - lo) * j / steps
-        if j - i == 1:  # a cell: on the level at its left end, or across
-            right = point(t)
-            roots.extend(left[0] if v0 == 0.0 else bisect(band, left[0], t)
-                         for band, v0, v in zip(bands, left[1], right[1])
-                         if v0 == 0.0 or v0 * v < 0.0)
-            return right
-        # a fit whose bands keep off the level here does so on any part
-        fits = [(model, q) for model, q in fits if not all(
-            b_lo > level or b_hi < level
-            for b_lo, b_hi in _band_bounds(model, q, left[0], t))]
-        return (scan((i + j) // 2, j, scan(i, (i + j) // 2, left, fits), fits)
-                if fits else point(t))
-
-    if steps:  # else t0 +- BRACKET_HALF_WIDTH rounds to t0: nothing to scan
-        try:
-            scan(0, steps, point(lo), ((s, q_s), (d, q_d)))
-        except OverflowError:
-            raise OverflowError(f"bands overflow the float range in "
-                                f"[{lo:.6g}, {hi:.6g}]") from None
+    try:
+        roots = [t for model in (analysis.surplus_model,
+                                 analysis.deficit_model)
+                 for t in _crossings(model, t_quantile(p, model.dof), level,
+                                     lo, hi)]
+    except OverflowError:
+        raise OverflowError(f"bands overflow the float range in "
+                            f"[{lo:.6g}, {hi:.6g}]") from None
     if not roots:
         raise RootNotBracketed(
             f"no band attains the level {level:.6g} in "
