@@ -637,6 +637,14 @@ def _counting_band_points(monkeypatch):
     return calls
 
 
+def _assert_few_band_points(calls, analysis):
+    """Outside bisect, each fit's bands are evaluated once at each cut:
+    the window's two ends, t0, two roots of P and three zeros of k."""
+    assert len(calls) == len(set(calls))
+    for model in (analysis.surplus_model, analysis.deficit_model):
+        assert 2 <= sum(m == id(model) for m, _ in calls) <= 8
+
+
 def _underflowing_pair():
     """t0 = -9271.7 and a level of 9.6e-221: the deficit variance, e^{2 d t}
     times a near-singular cov, underflows in the window."""
@@ -748,17 +756,37 @@ class TestSkippedStretches:
         assert _outcome(_interval_ends, analysis, 0.99) == (
             ValueError, "math domain error")
 
-    def test_bands_are_evaluated_at_few_points(self, analyses, monkeypatch):
-        # outside bisect, each fit's bands are evaluated once at each cut:
-        # the window's two ends, t0, two roots of P and three zeros of k
-        cases = [(analysis, band_level) for analysis in analyses.values()
-                 for band_level in (0.5, 0.99)]
-        cases += [(analysis, 0.99) for analysis in _toy_pairs()]
+    @pytest.mark.parametrize("band_level", (0.5, 0.99))
+    def test_bundled_scopes_evaluate_few_grid_points(self, analyses,
+                                                     band_level, monkeypatch):
+        calls = _counting_band_points(monkeypatch)
+        for analysis in analyses.values():
+            calls.clear()
+            eb.uncertainty_interval(analysis, band_level)
+            _assert_few_band_points(calls, analysis)
+
+    def test_distant_bands_evaluate_only_the_window_ends(self, monkeypatch):
+        # the pair of test_root_not_bracketed: every band is far from the
+        # level throughout, so no cut is needed besides the window's ends
+        # and the t where |pred| meets the level
+        calls = _counting_band_points(monkeypatch)
+        analysis = _toy_pairs()[3]
+        with pytest.raises(eb.RootNotBracketed):
+            eb.uncertainty_interval(analysis, 0.99)
+        _assert_few_band_points(calls, analysis)
+        t0 = eb.turning_points(analysis).t0
+        lo = t0 - stability.BRACKET_HALF_WIDTH
+        hi = t0 + stability.BRACKET_HALF_WIDTH
+        for model in (analysis.surplus_model, analysis.deficit_model):
+            ts = sorted(t for m, t in calls if m == id(model))
+            assert ts[0] == lo and ts[-1] == hi and len(ts) <= 3
+
+    def test_bands_are_evaluated_at_few_points(self, monkeypatch):
+        # the toy pairs and a pair whose deficit variance underflows
+        cases = [(analysis, 0.99) for analysis in _toy_pairs()]
         cases.append((_underflowing_pair(), 0.1277))
         calls = _counting_band_points(monkeypatch)
         for analysis, band_level in cases:
             calls.clear()
             _outcome(_interval_ends, analysis, band_level)
-            assert len(calls) == len(set(calls))
-            for model in (analysis.surplus_model, analysis.deficit_model):
-                assert 2 <= sum(m == id(model) for m, _ in calls) <= 8
+            _assert_few_band_points(calls, analysis)
