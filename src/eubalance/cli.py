@@ -51,27 +51,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="rendering echoed to stdout (report files get "
                              "both forms, plot data .csv only)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_report = sub.add_parser("report", help="emit one of the tables 1-12")
-    p_report.add_argument("--table", type=int, choices=range(1, 13),
-                          required=True, metavar="N",
-                          help="table number, 1-12")
-
-    p_fit = sub.add_parser("fit", help="fit one cumulative balance series")
-    p_fit.add_argument("--series", choices=sorted(reports.FIT_SERIES),
-                       required=True)
-    p_fit.add_argument("--level", type=float, default=0.95,
-                       help="confidence level for parameter and prediction "
-                            "intervals (default 0.95)")
-
-    p_stab = sub.add_parser("stability",
-                            help="gap analysis for one surplus/deficit pair")
-    p_stab.add_argument("--scope", choices=sorted(reports.STABILITY_SCOPES),
-                        required=True)
-    p_stab.add_argument("--band-level", type=float,
-                        default=stability.DEFAULT_BAND_LEVEL,
-                        help="per-band confidence level (default "
-                             f"{stability.DEFAULT_BAND_LEVEL})")
+    for name, (summary, run, (flag, values, opts), level) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument(flag, choices=sorted(values), required=True, **opts)
+        if level is not None:
+            p.add_argument(level[0], type=float, default=level[1],
+                           help=level[2])
+        p.set_defaults(run=run)
     return parser
 
 
@@ -90,12 +76,10 @@ def _check_config(parser: argparse.ArgumentParser,
         parser.error(f"cannot use path {exc.filename}: {exc.strerror}")
     if not existing.is_dir():
         parser.error(f"--out {args.out}: {existing} is not a directory")
-    for flag in ("level", "band_level"):
-        value = getattr(args, flag, None)
-        if value is None:
-            continue
-        try:
-            expfit._two_sided(value, "--" + flag.replace("_", "-"))
+    if (level := COMMANDS[args.command][3]) is not None:
+        try:  # the option's dest, as argparse derives it from the flag
+            expfit._two_sided(getattr(args, level[0][2:].replace("-", "_")),
+                              level[0])
         except ValueError as exc:
             parser.error(str(exc))
 
@@ -160,14 +144,33 @@ def _cmd_stability(args: argparse.Namespace, ds, regions):
             (f"plot_{args.scope}", plot, False)]
 
 
+# The command set, declared once: name: (help, handler, subject option as
+# (flag, values in digest order, other argparse settings), level option as
+# (flag, default, help, the levels the digest set runs) or None).
+COMMANDS = {
+    "report": ("emit one of the tables 1-12", _cmd_report,
+               ("--table", range(1, 13),
+                {"type": int, "metavar": "N", "help": "table number, 1-12"}),
+               None),
+    "fit": ("fit one cumulative balance series", _cmd_fit,
+            ("--series", tuple(reports.FIT_SERIES), {}),
+            ("--level", 0.95, "confidence level for parameter and "
+             "prediction intervals (default 0.95)", ("0.95", "0.5", "0.999"))),
+    "stability": (
+        "gap analysis for one surplus/deficit pair", _cmd_stability,
+        ("--scope", tuple(reports.STABILITY_SCOPES), {}),
+        ("--band-level", stability.DEFAULT_BAND_LEVEL,
+         f"per-band confidence level (default {stability.DEFAULT_BAND_LEVEL})",
+         ("0.5", "0.8", "0.9", "0.95", "0.97", "0.98", "0.99", "0.999"))),
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _check_config(parser, args)
-    handlers = {"report": _cmd_report, "fit": _cmd_fit,
-                "stability": _cmd_stability}
     try:
-        outputs = handlers[args.command](args, *_load(args))
+        outputs = args.run(args, *_load(args))
         args.out.mkdir(parents=True, exist_ok=True)
         forms = {"csv": reports.to_csv, "txt": reports.to_text}
         echoed = "csv" if args.format == "csv" else "txt"

@@ -161,6 +161,8 @@ def _parse(raw_text: str) -> dict[tuple[str, int], float]:
         if len(parts) != 3:
             raise BadNumeric(f"line {lineno}: expected 3 fields, got {len(parts)}")
         country = parts[0].strip()
+        if not country:
+            raise BadNumeric(f"line {lineno}: empty country code: {ln!r}")
         try:
             year = int(parts[1])
             value = float(parts[2])

@@ -427,10 +427,7 @@ def plot_data_table(scope: str, analysis: stability.GapAnalysis,
                            s_lo, s_hi, -d_hi, -d_lo))
         columns = [_sig6_cells(column) for column in zip(*values)]
     except Exception:
-        for row in values:
-            for x in row:
-                if not math.isfinite(x):
-                    sig6(x)
+        _sig6_cells(tuple(x for row in values for x in row))
         raise
     surplus, deficit, *rest = columns
     rows = tuple(zip(t_cells, surplus, map(_negated, surplus),

@@ -1,4 +1,7 @@
 """Command dispatch, emitted files, exit codes, determinism."""
+import argparse
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -15,6 +18,7 @@ from eubalance.dataset import DuplicateKey
 import golden_values as gv
 
 BUNDLED_DATA = Path(cli.__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
 
 # Cells of the year tables pinned as printed text, (year, header, cell),
 # on top of the golden comparison.
@@ -289,6 +293,22 @@ class TestExitCodes:
         assert rc == 3
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_blank_country_code_is_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(BUNDLED_DATA, data)
+        for name, value in (("gdp.csv", "1.0"), ("cab_pct.csv", "0.01")):
+            with open(data / name, "a") as fh:
+                fh.write(f",2011,{value}\n")
+        out = tmp_path / "out"
+        rc = cli.main(["--data-dir", str(data), "--out", str(out),
+                       "report", "--table", "1"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: line ")
+        assert captured.err.endswith(": empty country code: ',2011,1.0'\n")
+        assert not out.exists()
 
     def test_missing_region_is_exit_3(self, tmp_path):
         regions = tmp_path / "regions.json"
@@ -811,3 +831,97 @@ class TestParserReuse:
             run(tmp_path, *rejected)
         assert exc.value.code == 2
         assert run(tmp_path, "report", "--table", "1") == 0
+
+
+def _output_digest():
+    spec = importlib.util.spec_from_file_location(
+        "output_digest", ROOT / "tools" / "output_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The 40 argvs of the digest set, in their order, written out apart from
+# cli.COMMANDS: a value or level dropped from the table fails here.
+DIGEST_ARGVS = (
+    [["report", "--table", str(n)] for n in range(1, 13)]
+    + [["fit", "--series", s, "--level", lv]
+       for s in ("eu9plus", "eu18minus", "euro7plus", "euro10minus")
+       for lv in ("0.95", "0.5", "0.999")]
+    + [["stability", "--scope", s, "--band-level", lv]
+       for s in ("eu", "eurozone")
+       for lv in ("0.5", "0.8", "0.9", "0.95", "0.97", "0.98", "0.99",
+                  "0.999")])
+
+
+class TestCommandTable:
+    """cli.COMMANDS feeds the parser, the dispatch, the level check and the
+    digest set."""
+
+    def test_digest_set_is_read_from_the_table(self):
+        assert _output_digest().commands() == DIGEST_ARGVS
+
+    def test_every_entry_and_value_is_in_the_digest_set(self):
+        argvs = _output_digest().commands()
+        for name, (_, _, (flag, values, _), level) in cli.COMMANDS.items():
+            assert any(argv[0] == name for argv in argvs)
+            for value in values:
+                subject = [name, flag, str(value)]
+                if level is None:
+                    assert subject in argvs
+                else:
+                    assert level[3]
+                    for lv in level[3]:
+                        assert [*subject, level[0], lv] in argvs
+
+    def test_parser_accepts_exactly_the_table(self):
+        parser = cli._build_parser()
+        (sub,) = (a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli.COMMANDS)
+        for name, (_, run, (flag, values, _), level) in cli.COMMANDS.items():
+            options = {option: action
+                       for action in sub.choices[name]._actions
+                       for option in action.option_strings}
+            assert list(options[flag].choices) == sorted(values)
+            assert sub.choices[name].get_default("run") is run
+            if level is not None:
+                assert options[level[0]].default == level[1]
+                expfit._two_sided(level[1], level[0])
+                for lv in level[3]:
+                    expfit._two_sided(float(lv), level[0])
+
+    def test_perfbench_pass_is_in_the_table(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        worker = importlib.import_module("worker")
+        for name, flag, value in worker.PASS:
+            _, _, (subject_flag, values, _), _ = cli.COMMANDS[name]
+            assert flag == subject_flag
+            assert value in map(str, values)
+
+    def test_help_of_each_command(self, capsys):
+        # a parser of its own, built from the table
+        parser = cli._build_parser.__wrapped__()
+        assert parser is not cli._build_parser()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "{" + ",".join(cli.COMMANDS) + "}" in text
+        for name, (summary, _, _, _) in cli.COMMANDS.items():
+            assert f"{name} {summary}" in text
+        for name, (_, _, (flag, values, opts), level) in cli.COMMANDS.items():
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([name, "--help"])
+            assert exc.value.code == 0
+            text = " ".join(capsys.readouterr().out.split())
+            shown = opts.get("metavar",
+                             "{" + ",".join(map(str, sorted(values))) + "}")
+            assert text.startswith(f"usage: eubalance {name} [-h] {flag} "
+                                   f"{shown}")
+            assert f"{flag} {shown} {opts.get('help', '')}".strip() in text
+            if level is not None:
+                dest = level[0][2:].replace("-", "_")
+                assert f"[{level[0]} {dest.upper()}]" in text
+                assert f"{level[0]} {dest.upper()} {level[2]}" in text
+                assert level[2].endswith(f"(default {level[1]})")

@@ -34,6 +34,9 @@ def _reference_parse_table(raw_text):
             raise eb.BadNumeric(
                 f"line {lineno}: expected 3 fields, got {len(parts)}")
         country = parts[0].strip()
+        if country == "":
+            raise eb.BadNumeric(
+                f"line {lineno}: empty country code: {ln!r}")
         try:
             year = int(parts[1])
             value = float(parts[2])
@@ -94,6 +97,17 @@ class TestPlainCsv:
         text = "country,year,value\nDE,2000,1.0\nDE,2000,2.0\n"
         with pytest.raises(eb.DuplicateKey):
             parse_table(text)
+
+    @pytest.mark.parametrize("code", ("", " ", "\t"))
+    def test_blank_country_code(self, code):
+        # a nameless row would join the country totals under no name
+        text = f"country,year,value\nDE,2011,1.0\n{code},2011,1.0\n"
+        with pytest.raises(eb.BadNumeric) as exc:
+            parse_table(text)
+        assert str(exc.value) == (
+            f"line 3: empty country code: {f'{code},2011,1.0'.strip()!r}")
+        assert _outcome(parse_table, text) == _outcome(_reference_parse_table,
+                                                       text)
 
     @pytest.mark.parametrize("value", ("nan", "inf", "-Infinity"))
     def test_non_finite_value(self, value):

@@ -26,8 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 MAX = sys.float_info.max
 
-# the stability band levels of tools/output_digest.py
-DIGEST_BAND_LEVELS = (0.5, 0.8, 0.9, 0.95, 0.97, 0.98, 0.99, 0.999)
+# the stability band levels of the digest set, as the command table gives
+DIGEST_BAND_LEVELS = tuple(map(float, cli.COMMANDS["stability"][3][3]))
 
 
 def _sig6_decimal(x: float) -> str:

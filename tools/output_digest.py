@@ -1,9 +1,8 @@
 """One sha256 over every output of the 40-command CLI set.
 
-Runs, each as its own ``python -m eubalance.cli`` process on this
-checkout's ``src``: tables 1-12, each series of ``reports.FIT_SERIES``
-at ``--level`` 0.95, 0.5 and 0.999, and each scope of
-``reports.STABILITY_SCOPES`` at eight ``--band-level`` values.
+Runs each argv that ``eubalance.cli.COMMANDS`` declares, in its own
+``python -m eubalance.cli`` process on this checkout's ``src``: 12 tables,
+4 fit series at 3 ``--level`` values and 2 scopes at 8 ``--band-level``.
 The digest covers each command's argv, exit code, stdout, stderr and
 every file it writes, so two checkouts that print the same digest
 produce byte-identical output.
@@ -32,18 +31,17 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
-from eubalance import reports  # noqa: E402
-
-FIT_LEVELS = ("0.95", "0.5", "0.999")
-BAND_LEVELS = ("0.5", "0.8", "0.9", "0.95", "0.97", "0.98", "0.99", "0.999")
+from eubalance import cli  # noqa: E402
 
 
 def commands() -> list[list[str]]:
-    return ([["report", "--table", str(n)] for n in range(1, 13)]
-            + [["fit", "--series", s, "--level", lv]
-               for s in reports.FIT_SERIES for lv in FIT_LEVELS]
-            + [["stability", "--scope", s, "--band-level", lv]
-               for s in reports.STABILITY_SCOPES for lv in BAND_LEVELS])
+    """Each command's subject values in turn, each at its digest levels."""
+    argvs = []
+    for name, (_, _, (flag, values, _), level) in cli.COMMANDS.items():
+        level_argvs = [[level[0], lv] for lv in level[3]] if level else [[]]
+        argvs += [[name, flag, str(value), *level_argv]
+                  for value in values for level_argv in level_argvs]
+    return argvs
 
 
 def digest(data_args: list[str]) -> str:
