@@ -65,11 +65,15 @@ def _check_config(parser: argparse.ArgumentParser,
                   args: argparse.Namespace) -> None:
     try:
         if args.data_dir is not None:
+            if args.data_dir.exists() and not args.data_dir.is_dir():
+                parser.error(f"--data-dir {args.data_dir} is not a directory")
             for name in dataset.INPUT_FILES:
                 if not (args.data_dir / name).is_file():
                     parser.error(f"missing data file {args.data_dir / name}")
         if args.regions is not None and not args.regions.is_file():
-            parser.error(f"regions file {args.regions} does not exist")
+            parser.error(f"regions file {args.regions} " + (
+                "is not a file" if args.regions.exists()
+                else "does not exist"))
         existing = next(p for p in (args.out, *args.out.parents)
                         if p.exists())
     except OSError as exc:  # a path the OS rejects, such as a name too long

@@ -147,7 +147,7 @@ def country_totals_table(dataset: Dataset) -> Table:
     total = accounting._total
     cab = total("CAB", "all countries", [r.cab_total for r in totals])
     ggb = total("GGB", "all countries", [r.ggb_total for r in totals])
-    psb = total("PSB", "all countries", [r.psb_total for r in totals])
+    psb = total("PSB", "all countries", (cab, -ggb))
     rows.append(("EU27", sig6(cab), "", sig6(ggb), "", sig6(psb), ""))
     return Table("Country balance totals with ranks",
                  ("country", "cab_total", "rank", "ggb_total", "rank",
@@ -169,11 +169,15 @@ _TOTALS_TABLES = {
 def _totals_table(dataset: Dataset, regions: dict[str, RegionDefinition],
                   title: str, names: Sequence[str]) -> Table:
     series = _series_by_subject(dataset, regions, "cumulative", [
-        (name, kind) for name in names for kind in ("CAB", "GGB", "PSB")])
+        (name, kind) for name in names for kind in ("CAB", "GGB")])
+    rows = []
+    for name in names:
+        cab, ggb = ([*series(name, kind).values()][-1]
+                    for kind in ("CAB", "GGB"))
+        psb = accounting._total("PSB", name, (cab, -ggb))
+        rows.append((name, sig6(cab), sig6(ggb), sig6(psb)))
     return Table(title, ("region", "cab_total", "ggb_total", "psb_total"),
-                 tuple((name, *(sig6([*series(name, kind).values()][-1])
-                                for kind in ("CAB", "GGB", "PSB")))
-                       for name in names))
+                 tuple(rows))
 
 
 def _series_by_subject(dataset: Dataset, regions: dict[str, RegionDefinition],

@@ -1,4 +1,5 @@
-"""tools/bench_record.py refuses to measure a src with uncommitted changes."""
+"""tools/bench_record.py refuses to measure a src or a benchmark with
+uncommitted changes."""
 import importlib.util
 import shutil
 import subprocess
@@ -15,7 +16,8 @@ pytestmark = pytest.mark.skipif(shutil.which("git") is None,
 @pytest.fixture
 def bench_record(tmp_path, monkeypatch):
     """The tool module, rooted at a throwaway repository with a committed
-    src/, whose runs fail the test if any starts."""
+    src/, perfbench/ and BENCHMARK.json, whose runs fail the test if any
+    starts."""
     spec = importlib.util.spec_from_file_location("bench_record", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -25,8 +27,10 @@ def bench_record(tmp_path, monkeypatch):
                         *argv], cwd=tmp_path, check=True,
                        capture_output=True)
 
-    (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "mod.py").write_text("x = 1\n")
+    for name in ("src", "perfbench"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "mod.py").write_text("x = 1\n")
+    (tmp_path / "BENCHMARK.json").write_text("{}\n")
     (tmp_path / "README").write_text("notes\n")
     git("init", "-q")
     git("add", "-A")
@@ -41,20 +45,23 @@ def bench_record(tmp_path, monkeypatch):
 
 
 def test_clean_src_is_not_dirty(bench_record, tmp_path):
-    # a change outside src does not count
+    # a change outside src and the benchmark does not count
     (tmp_path / "README").write_text("more notes\n")
-    assert bench_record.dirty_src() == []
+    assert bench_record.dirty() == []
 
 
-@pytest.mark.parametrize("change, listed", (
-    (lambda src: (src / "mod.py").write_text("x = 2\n"), " M src/mod.py"),
-    (lambda src: (src / "new.py").write_text(""), "?? src/new.py"),
-), ids=("modified", "untracked"))
+@pytest.mark.parametrize("path, text, listed", (
+    ("src/mod.py", "x = 2\n", " M src/mod.py"),
+    ("src/new.py", "", "?? src/new.py"),
+    ("perfbench/mod.py", "x = 2\n", " M perfbench/mod.py"),
+    ("BENCHMARK.json", "[]\n", " M BENCHMARK.json"),
+), ids=("modified", "untracked", "perfbench", "benchmark-json"))
 def test_dirty_src_exits_1_before_any_run(bench_record, tmp_path, capsys,
-                                          change, listed):
-    change(tmp_path / "src")
+                                          path, text, listed):
+    (tmp_path / path).write_text(text)
     assert bench_record.main(["--seed", "1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: src has uncommitted changes")
+    assert err.startswith("error: uncommitted changes in src, perfbench, "
+                          "BENCHMARK.json;")
     assert f"\n  {listed}\n" in err
     assert not list(tmp_path.glob("BENCH_*.json"))

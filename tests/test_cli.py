@@ -244,6 +244,25 @@ class TestExitCodes:
                       str(tmp_path), "report", "--table", "1"])
         assert exc.value.code == 2
 
+    # an existing path of the wrong kind is named as such, not as missing
+    @pytest.mark.parametrize("flag, kind, message", (
+        ("--data-dir", "file", "--data-dir {} is not a directory"),
+        ("--regions", "directory", "regions file {} is not a file"),
+    ), ids=("data-dir-is-a-file", "regions-is-a-directory"))
+    def test_path_of_the_wrong_kind_is_config_error(self, tmp_path, capsys,
+                                                    flag, kind, message):
+        path = tmp_path / "taken"
+        if kind == "file":
+            path.write_text("")
+        else:
+            path.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            run(tmp_path / "out", flag, str(path), "report", "--table", "1")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: eubalance ")
+        assert err.endswith(f"error: {message.format(path)}\n")
+
     def test_bad_level_is_config_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(tmp_path, "fit", "--series", "eu9plus", "--level", "1.5")

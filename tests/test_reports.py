@@ -478,11 +478,18 @@ class TestYearTables:
 
 
 def _reference_totals_rows(dataset, regions, table_id):
-    """A totals table's rows from one region_total call per cell."""
+    """A totals table's rows from one region_total call per CAB and GGB
+    cell, and each PSB cell the row's CAB total less its GGB total,
+    rounded once."""
     _, names = reports._TOTALS_TABLES[table_id]
-    return tuple((name, *(sig6(accounting.region_total(
-        dataset, reports._region(regions, name), kind))
-        for kind in ("CAB", "GGB", "PSB"))) for name in names)
+    rows = []
+    for name in names:
+        region = reports._region(regions, name)
+        cab, ggb = (accounting.region_total(dataset, region, kind)
+                    for kind in ("CAB", "GGB"))
+        rows.append((name, sig6(cab), sig6(ggb),
+                     sig6(math.fsum((cab, -ggb)))))
+    return tuple(rows)
 
 
 def _bundled_regions_with(**changed):
@@ -502,13 +509,22 @@ def _data_with(tmp_path, edits):
     return data
 
 
-def _german_1995_and_1996(value):
-    """An edit setting Germany's 1995 and 1996 values to value."""
+def _german_1995_and_1996(value_1995, value_1996):
+    """An edit setting Germany's 1995 and 1996 values; None keeps one."""
+    values = {key: value for key, value in (("DE,1995,", value_1995),
+                                            ("DE,1996,", value_1996))
+              if value is not None}
+
     def edit(lines):
-        return [f"{line.rsplit(',', 1)[0]},{value}"
-                if line.startswith(("DE,1995,", "DE,1996,")) else line
-                for line in lines]
+        return [f"{line.rsplit(',', 1)[0]},{values[line[:8]]}"
+                if line[:8] in values else line for line in lines]
     return edit
+
+
+# Germany's 1995 government balance removed: its 1995 CAB enters the CAB
+# total, and so the PSB total, but no GGB and no per-year PSB are there.
+_WITHOUT_DE_1995_GGB = {"ggb.csv": lambda lines: [
+    line for line in lines if not line.startswith("DE,1995,")]}
 
 
 class TestTotalsTables:
@@ -536,10 +552,40 @@ class TestTotalsTables:
         monkeypatch.setattr(accounting, "_values_by_year", spy)
         reports.build_table(dataset, regions, table_id)
         names = reports._TOTALS_TABLES[table_id][1]
-        assert walks == [(kind, len(names)) for kind in ("CAB", "GGB", "PSB")]
+        assert walks == [(kind, len(names)) for kind in ("CAB", "GGB")]
+
+    def test_germany_prints_one_psb_total(self, tmp_path, regions):
+        data = _data_with(tmp_path, _WITHOUT_DE_1995_GGB)
+        dataset = eb.load_files(*(data / name for name in INPUT_FILES))
+        for table_id in (1, 4):
+            table = reports.build_table(dataset, regions, table_id)
+            psb = table.header.index("psb_total")
+            assert [row[psb] for row in table.rows
+                    if row[0] == "Germany"] == ["2024.5"]
+
+    def test_psb_total_is_cab_less_ggb(self, tmp_path, regions):
+        # each row's totals as its table sums them, the EU27 row of table
+        # 1 from the country rows
+        data = _data_with(tmp_path, _WITHOUT_DE_1995_GGB)
+        dataset = eb.load_files(*(data / name for name in INPUT_FILES))
+        countries = {reports.COUNTRY_NAMES[r.subject]: (r.cab_total,
+                                                        r.ggb_total)
+                     for r in accounting.totals_table(dataset)}
+        countries["EU27"] = tuple(map(math.fsum, zip(*countries.values())))
+        for table_id in (1, 2, 3, 4):
+            table = reports.build_table(dataset, regions, table_id)
+            psb = table.header.index("psb_total")
+            for row in table.rows:
+                if table_id == 1:
+                    cab, ggb = countries[row[0]]
+                else:
+                    region = reports._region(regions, row[0])
+                    cab, ggb = (accounting.region_total(dataset, region, k)
+                                for k in ("CAB", "GGB"))
+                assert row[psb] == sig6(cab - ggb), (table_id, row[0])
 
     # Table 2's rows are Eurozone, EU10, EU9+, EU18-, Germany, EU26, EU27;
-    # within a row CAB is summed before GGB, and GGB before PSB.
+    # within a row CAB is summed before GGB, and both before PSB.
     @pytest.mark.parametrize("regions, edits, message", (
         ({"EU10": ["ZZ"]}, {}, "region 'Eurozone' is not defined"),
         (_bundled_regions_with(EU10=["ZZ"]), {},
@@ -550,11 +596,17 @@ class TestTotalsTables:
                                     if not line.startswith("LU,")]},
          "no GGB data for region 'EU10'"),
         # a German current account of 1e308 in 1995 and again in 1996
-        (None, {"gdp.csv": _german_1995_and_1996("1e308"),
-                "cab_pct.csv": _german_1995_and_1996("1")},
+        (None, {"gdp.csv": _german_1995_and_1996("1e308", "1e308"),
+                "cab_pct.csv": _german_1995_and_1996("1", "1")},
          "cumulative CAB sum for region 'Eurozone' overflows in 1996"),
+        # a German CAB of 1e308 in 1995 and a GGB of -1e308 in 1996: both
+        # totals fit a float, CAB less GGB does not
+        (None, {"gdp.csv": _german_1995_and_1996("1e308", None),
+                "cab_pct.csv": _german_1995_and_1996("1", "0"),
+                "ggb.csv": _german_1995_and_1996("0", "-1e308")},
+         "PSB total for Eurozone overflows"),
     ), ids=("undefined-first", "no-data-later", "cab-without-ggb",
-            "cumulative-overflow"))
+            "cumulative-overflow", "psb-overflow"))
     def test_first_fault_in_row_order_is_raised(self, tmp_path, capsys,
                                                 regions, edits, message):
         argv = ["--out", str(tmp_path / "out"),

@@ -9,9 +9,10 @@ for one seed at the benchmark's ``run_seconds``:
 The file, written at the root of this checkout, holds each run's JSON
 result line with the commit and ``src`` sha256 that run.py reported for
 it. The sha256 identifies the measured source even when the file is
-committed after the commit it names. A ``src`` with uncommitted changes
-is refused before any run, so a file never names a commit whose source
-it did not measure.
+committed after the commit it names. Uncommitted changes to ``src``, to
+``perfbench`` or to ``BENCHMARK.json`` are refused before any run, so a
+file never names a commit whose source or benchmark it did not measure:
+run.py hashes ``src`` only.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MEASURED = ("src", "perfbench", "BENCHMARK.json")
 
 
 def run(workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -38,10 +40,10 @@ def run(workload: str, seed: int, seconds: int, trace: int) -> dict:
     return {"workload": workload, "trace": trace, "env": env, **line}
 
 
-def dirty_src() -> list[str]:
-    """``git status --porcelain`` lines for changed or untracked ``src``
-    paths."""
-    proc = subprocess.run(["git", "status", "--porcelain", "--", "src"],
+def dirty() -> list[str]:
+    """``git status --porcelain`` lines for changed or untracked paths
+    under MEASURED."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--", *MEASURED],
                           cwd=ROOT, stdout=subprocess.PIPE, text=True,
                           check=True)
     return proc.stdout.splitlines()
@@ -51,10 +53,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
-    dirty = dirty_src()
-    if dirty:
-        print("error: src has uncommitted changes; commit them first:",
-              *dirty, sep="\n  ", file=sys.stderr)
+    changed = dirty()
+    if changed:
+        print(f"error: uncommitted changes in {', '.join(MEASURED)}; "
+              "commit them first:", *changed, sep="\n  ", file=sys.stderr)
         return 1
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
