@@ -1,19 +1,20 @@
 """Region aggregation, ranked totals, GDP shares, average rates.
 
 Regions are plain sets of country codes; a country is a region of one.
-All aggregation follows the additive sum rule: a region's balance is the
-algebraic sum of its members' balances, with absent member-years
-contributing nothing (Bulgaria before 1998 and Greece before 2000 in the
-bundled data).
+Every sum follows two rules. A sum runs over the members that report:
+absent member-years contribute nothing (Bulgaria before 1998 and Greece
+before 2000 in the bundled data), and a GDP share divides the reporting
+members' GDP by that of every country reporting that year. A subject
+with no reporting member raises EmptyIntersection.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Sequence
 
-from .dataset import _DATA, BASE_YEAR, Dataset, MissingGdp, _Frozen
+from .dataset import _DATA, BASE_YEAR, Dataset, _Frozen
 
 KINDS = ("CAB", "GGB", "PSB", "GDP")
 MODES = ("annual", "cumulative")
@@ -89,7 +90,8 @@ def _values_by_year(dataset: Dataset, kind: str,
 
 
 def _series(by_year: dict[int, list[float]], region: RegionDefinition,
-            kind: str, mode: str) -> tuple[tuple[int, float], ...]:
+            kind: str, mode: str = "annual"
+            ) -> tuple[tuple[int, float], ...]:
     """region_series from the values _values_by_year gives the region."""
     if not by_year:
         raise EmptyIntersection(f"no {kind} data for region {region.name!r}")
@@ -142,9 +144,11 @@ def totals_table(dataset: Dataset) -> list[TotalsRow]:
             for c in totals]
 
 
-def _total(kind: str, subject: str, values: Iterable[float]) -> float:
+def _total(kind: str, subject: str, values: Collection[float]) -> float:
     """The compensated sum of finite values, naming kind and subject if
-    it overflows the float range."""
+    there are none or the sum overflows the float range."""
+    if not values:
+        raise EmptyIntersection(f"no {kind} data for {subject}")
     try:
         return math.fsum(values)
     except OverflowError:
@@ -152,33 +156,28 @@ def _total(kind: str, subject: str, values: Iterable[float]) -> float:
 
 
 def gdp_share(dataset: Dataset, region: RegionDefinition, year: int) -> float:
-    """A region's share of the GDP of all countries.
+    """A region's share of the GDP of all countries that year.
 
-    GDPs are positive and summed over all countries first, once per
-    dataset and year, so only that sum can overflow: a region whose
-    members are not all there raises MissingGdp."""
-    totals = dataset._gdp_totals  # a sum that raised is not kept
-    if year not in totals:
-        totals[year] = _gdp_sum(dataset, dataset.countries, year)
-    return _gdp_sum(dataset, region.members, year) / totals[year]
-
-
-def _gdp_sum(dataset: Dataset, members: Iterable[str], year: int) -> float:
+    Both sums run over the countries that report a GDP that year. GDPs
+    are positive and summed over all countries first, once per dataset
+    and year, so only that sum can overflow."""
     rows = dataset._gdp_rows  # year -> country -> GDP, built on first use
     if rows is None:
         rows = dataset._gdp_rows = {y: {} for y in dataset.years}
         for (country, y), value in dataset.gdp.items():
             rows[y][country] = value
-    try:  # every lookup before the sum: a missing GDP beats an overflow
-        values = [*map((row := rows.get(year, {})).__getitem__, members)]
-    except KeyError:  # name the same member whatever the set's order
-        missing = min(c for c in members if c not in row)
-        raise MissingGdp(f"no GDP for {missing} {year}") from None
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        raise SumOverflow(f"GDP sum for all countries overflows "
-                          f"in {year}") from None
+    row, totals = rows.get(year, {}), dataset._gdp_totals
+    if year not in totals:  # a sum that raised is not kept
+        try:
+            totals[year] = math.fsum(row.values())
+        except OverflowError:
+            raise SumOverflow(f"GDP sum for all countries overflows "
+                              f"in {year}") from None
+    # GDPs are positive, so the filter drops only the members not there
+    if not (values := [*filter(None, map(row.get, region.members))]):
+        raise EmptyIntersection(f"no GDP data for region {region.name!r} "
+                                f"in {year}")
+    return math.fsum(values) / totals[year]
 
 
 def average_rate(series: Sequence[tuple[float, float]]) -> float:

@@ -168,12 +168,12 @@ _TOTALS_TABLES = {
 
 def _totals_table(dataset: Dataset, regions: dict[str, RegionDefinition],
                   title: str, names: Sequence[str]) -> Table:
-    series = _series_by_subject(dataset, regions, "cumulative", [
+    series = _series_by_subject(dataset, regions, [
         (name, kind) for name in names for kind in ("CAB", "GGB")])
     rows = []
     for name in names:
-        cab, ggb = ([*series(name, kind).values()][-1]
-                    for kind in ("CAB", "GGB"))
+        cab, ggb = (accounting._total(k, name, series(name, k).values())
+                    for k in ("CAB", "GGB"))
         psb = accounting._total("PSB", name, (cab, -ggb))
         rows.append((name, sig6(cab), sig6(ggb), sig6(psb)))
     return Table(title, ("region", "cab_total", "ggb_total", "psb_total"),
@@ -181,9 +181,9 @@ def _totals_table(dataset: Dataset, regions: dict[str, RegionDefinition],
 
 
 def _series_by_subject(dataset: Dataset, regions: dict[str, RegionDefinition],
-                       mode: str, wanted: Sequence[tuple[str, str]]
+                       wanted: Sequence[tuple[str, str]]
                        ) -> Callable[[str, str], dict[int, float]]:
-    """(subject, kind) -> {t: value} of its region series. Each kind's
+    """(subject, kind) -> {t: value} of its annual series. Each kind's
     column is walked once and summed before the next, so one kind's values
     are held at a time; a fault is raised when its subject is asked for."""
     summed: dict[tuple[str, str], dict[int, float] | Exception] = {}
@@ -193,7 +193,7 @@ def _series_by_subject(dataset: Dataset, regions: dict[str, RegionDefinition],
         for v, (s, r) in zip(accounting._values_by_year(
                 dataset, kind, [*defined.values()]), defined.items()):
             try:
-                summed[s, kind] = dict(accounting._series(v, r, kind, mode))
+                summed[s, kind] = dict(accounting._series(v, r, kind))
             except accounting.AccountingError as exc:
                 summed[s, kind] = exc
 
@@ -246,7 +246,7 @@ _YEAR_TABLES = {
 
 def _year_table(dataset: Dataset, regions: dict[str, RegionDefinition],
                 title: str, columns: Sequence[tuple[str, str, str]]) -> Table:
-    series = _series_by_subject(dataset, regions, "annual", [
+    series = _series_by_subject(dataset, regions, [
         (s, kind) for _, measure, s in columns for kind in ("GDP", "CAB")
         if measure in (kind, "CAB/GDP")])
 

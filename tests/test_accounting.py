@@ -160,6 +160,18 @@ class TestTotals:
         with pytest.raises(SumOverflow, match="^PSB total for DE overflows$"):
             eb.totals_table(ds)
 
+    @pytest.mark.parametrize("pct, ggb, message", (
+        ({}, {}, "no CAB data for FR"),
+        ({("FR", 1995): 0.1}, {}, "no GGB data for FR"),
+    ), ids=("no-cab", "no-ggb"))
+    def test_country_without_balances_is_named(self, pct, ggb, message):
+        # DE reports every kind, FR a GDP and at most a CAB
+        ds = eb.assemble({("DE", 1995): 2.0, ("FR", 1995): 3.0},
+                         {("DE", 1995): 0.1, **pct},
+                         {("DE", 1995): 0.2, **ggb})
+        with pytest.raises(eb.EmptyIntersection, match=f"^{message}$"):
+            eb.totals_table(ds)
+
     def test_sum_overflow_is_exported(self):
         assert eb.SumOverflow is accounting.SumOverflow
         assert issubclass(eb.SumOverflow, eb.AccountingError)
@@ -185,50 +197,90 @@ class TestShares:
             assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_missing_gdp_year(self, dataset):
-        with pytest.raises(eb.MissingGdp):
+        with pytest.raises(eb.EmptyIntersection,
+                           match="^no GDP data for region 'DE' in 1970$"):
             eb.gdp_share(dataset, _DE, 1970)
 
     def test_all_countries_are_summed_once_per_dataset_and_year(
-            self, regions, monkeypatch):
+            self, regions):
         sums = []
-        real = accounting._gdp_sum
 
-        def spy(dataset, members, year):
-            if members is dataset.countries:
-                sums.append((dataset, year))
-            return real(dataset, members, year)
+        class Totals(dict):  # records each all-countries sum as it is kept
+            def __init__(self, label):
+                super().__init__()
+                self.label = label
 
-        monkeypatch.setattr(accounting, "_gdp_sum", spy)
+            def __setitem__(self, year, total):
+                sums.append((self.label, year))
+                super().__setitem__(year, total)
+
         first, second = eb.load_bundled(), eb.load_bundled()
+        first._gdp_totals = Totals("first")
+        second._gdp_totals = Totals("second")
         for ds in (first, second, first):
             for year in (1995, 2003, 1995):
+                every = math.fsum(g for (_, y), g in ds.gdp.items()
+                                  if y == year)
                 for name in ("EU9+", "EU18-", "EU10"):
-                    want = (real(ds, regions[name].members, year)
-                            / real(ds, ds.countries, year))
+                    want = math.fsum(ds.gdp[c, year]
+                                     for c in regions[name].members) / every
                     assert eb.gdp_share(ds, regions[name], year) == want
-        assert sums == [(first, 1995), (first, 2003),
-                        (second, 1995), (second, 2003)]
+        assert sums == [("first", 1995), ("first", 2003),
+                        ("second", 1995), ("second", 2003)]
         # the sums are held with the dataset and go with it
         ref = weakref.ref(first)
         del first, ds
-        sums.clear()
         gc.collect()
         assert ref() is None
 
     def test_a_year_with_a_missing_gdp_raises_on_every_call(self):
+        # FR reports in 1995 only: the 1996 total is DE's alone, and a
+        # region of FR has no GDP to share in 1996
         ds = eb.assemble({("DE", 1995): 2.0, ("FR", 1995): 3.0,
                           ("DE", 1996): 2.0}, {}, {})
+        fr = RegionDefinition("FR", frozenset({"FR"}))
         for _ in range(3):
-            with pytest.raises(eb.MissingGdp, match="^no GDP for FR 1996$"):
-                eb.gdp_share(ds, _DE, 1996)
+            with pytest.raises(eb.EmptyIntersection,
+                               match="^no GDP data for region 'FR' in 1996$"):
+                eb.gdp_share(ds, fr, 1996)
+            assert eb.gdp_share(ds, _DE, 1996) == 2.0 / 2.0
             assert eb.gdp_share(ds, _DE, 1995) == 2.0 / 5.0
 
-    def test_missing_member_is_the_smallest(self, dataset):
-        # the smallest absent code is named, whatever the set's order
+    def test_members_without_gdp_add_nothing(self, dataset):
+        # codes with no GDP row in any year leave a region's share as its
+        # reporting members give it
         region = eb.RegionDefinition("X", frozenset({"ZZ", "DE", "QQ",
                                                      "XA", "XB"}))
-        with pytest.raises(eb.MissingGdp, match="^no GDP for QQ 1995$"):
-            eb.gdp_share(dataset, region, 1995)
+        for year in dataset.years:
+            assert eb.gdp_share(dataset, region, year) == \
+                eb.gdp_share(dataset, _DE, year)
+
+    def test_late_reporter_joins_the_total_in_its_years(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        codes = ("AT", "BE", "DE", "FR", "UK")
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None,
+                             derandomize=True)
+        @hypothesis.given(st.dictionaries(
+            st.tuples(st.sampled_from(codes), st.integers(1995, 1999)),
+            st.floats(1e-3, 1e6), min_size=1),
+            st.sets(st.sampled_from(codes), min_size=1))
+        def check(gdp, members):
+            ds = eb.assemble(gdp, {}, {})
+            region = RegionDefinition("R", frozenset(members))
+            for year in ds.years:
+                mine = [g for (c, y), g in gdp.items()
+                        if y == year and c in members]
+                every = [g for (_, y), g in gdp.items() if y == year]
+                if not mine:
+                    with pytest.raises(eb.EmptyIntersection):
+                        eb.gdp_share(ds, region, year)
+                else:
+                    assert eb.gdp_share(ds, region, year) == \
+                        math.fsum(mine) / math.fsum(every)
+
+        check()
 
 
 class TestAverageRate:

@@ -467,13 +467,16 @@ class TestExitCodes:
         assert rc == 3
         assert err == "error: GDP for DE 1995 is not positive: 0.0\n"
 
-    @pytest.mark.parametrize("files, table", (
-        (("gdp.csv",), "1"),
-        (("gdp.csv", "cab_pct.csv", "ggb.csv"), "7"),
+    # Table 7 sums the members that report, so losing every row of a
+    # member-year is no fault there.
+    @pytest.mark.parametrize("files, table, code", (
+        (("gdp.csv",), "1", 3),
+        (("gdp.csv", "cab_pct.csv", "ggb.csv"), "7", 0),
     ), ids=("balance-without-gdp", "share-without-gdp"))
-    def test_data_error_message_is_stable(self, tmp_path, files, table):
+    def test_data_error_message_is_stable(self, tmp_path, files, table,
+                                          code):
         # four member-years lose their rows; set iteration order varies
-        # with the string hash seed, the message must not
+        # with the string hash seed, the output must not
         data = tmp_path / "data"
         shutil.copytree(BUNDLED_DATA, data)
         for name in files:
@@ -483,7 +486,7 @@ class TestExitCodes:
                 if line[:8] not in ("BG,1995,", "CZ,1995,", "DK,1995,",
                                     "HU,1995,")))
         src = str(BUNDLED_DATA.parents[1])
-        errs = []
+        outputs = []
         for seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=seed,
                        PYTHONPATH=os.pathsep.join(
@@ -492,9 +495,21 @@ class TestExitCodes:
                 [sys.executable, "-m", "eubalance.cli", "--data-dir",
                  str(data), "--out", str(tmp_path), "report", "--table",
                  table], capture_output=True, text=True, env=env)
-            assert proc.returncode == 3
-            errs.append(proc.stderr)
-        assert errs[0] == errs[1]
+            assert proc.returncode == code
+            outputs.append((proc.stdout, proc.stderr))
+        assert outputs[0] == outputs[1]
+
+    def test_no_countries_is_a_data_error(self, tmp_path, capsys):
+        # three header-only files: table 1 has no total to print
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("gdp.csv", "cab_pct.csv", "ggb.csv"):
+            (data / name).write_text("country,year,value\n")
+        rc = cli.main(["--data-dir", str(data), "--out", str(tmp_path),
+                       "report", "--table", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "error: no CAB data for all countries\n")
 
     @pytest.mark.parametrize("below", ("", "sub"))
     def test_out_in_a_file_is_config_error(self, tmp_path, capsys, below):
@@ -871,6 +886,56 @@ DIGEST_ARGVS = (
        for s in ("eu", "eurozone")
        for lv in ("0.5", "0.8", "0.9", "0.95", "0.97", "0.98", "0.99",
                   "0.999")])
+
+
+def _in_process(capsys, out, argv):
+    """Exit code, stdout, stderr and the files written, by name, of one
+    cli.main call."""
+    rc = cli.main(["--out", str(out), *argv])
+    captured = capsys.readouterr()
+    files = {path.name: path.read_text(encoding="utf-8")
+             for path in sorted(out.iterdir())} if out.exists() else {}
+    return rc, captured.out, captured.err, files
+
+
+def _changed_years(old, new):
+    """The first fields of the lines where two texts of as many lines
+    differ."""
+    old, new = old.split("\n"), new.split("\n")
+    assert len(old) == len(new)
+    return {a.replace(",", " ").split()[0]
+            for a, b in zip(old, new) if a != b}
+
+
+class TestReportingMembers:
+    """Croatia reports a GDP for 2010 and 2011 only, and no balance."""
+
+    def test_digest_set_sums_the_members_that_report(self, tmp_path,
+                                                     capsys):
+        data = tmp_path / "data"
+        shutil.copytree(BUNDLED_DATA, data)
+        with open(data / "gdp.csv", "a", encoding="utf-8") as fh:
+            fh.write("HR,2010,45.0\nHR,2011,44.9\n")
+        changed = {}
+        for i, argv in enumerate(_output_digest().commands()):
+            bundled = _in_process(capsys, tmp_path / f"bundled{i}", argv)
+            with_hr = _in_process(capsys, tmp_path / f"hr{i}",
+                                  ["--data-dir", str(data), *argv])
+            if with_hr != bundled:
+                changed[" ".join(argv)] = bundled, with_hr
+        # table 1 has a country with no CAB total, and HR is in no region
+        assert sorted(changed) == ["report --table 1", "report --table 5",
+                                   "report --table 7"]
+        assert changed.pop("report --table 1")[1] == (
+            3, "", "error: no CAB data for HR\n", {})
+        # the shares of 2010 and 2011 divide by a total with HR in it
+        for bundled, with_hr in changed.values():
+            assert bundled[0] == with_hr[0] == 0
+            assert bundled[2] == with_hr[2] == ""
+            assert bundled[3].keys() == with_hr[3].keys()
+            for old, new in zip((bundled[1], *bundled[3].values()),
+                                (with_hr[1], *with_hr[3].values())):
+                assert _changed_years(old, new) == {"2010", "2011"}
 
 
 class TestCommandTable:

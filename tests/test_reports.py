@@ -400,7 +400,8 @@ class TestPlotColumns:
 
 def _reference_year_rows(dataset, regions, table_id):
     """A year table's rows from one region_series call per subject and
-    kind, and each share cell summed from the GDP column itself."""
+    kind, and each share cell summed from the GDP column itself, over the
+    members and the countries that report that year."""
     _, columns = reports._YEAR_TABLES[table_id]
 
     @functools.cache
@@ -420,9 +421,10 @@ def _reference_year_rows(dataset, regions, table_id):
                                                               "GDP")[year]
             elif measure == "share":
                 members = reports._region(regions, subject).members
-                value = (math.fsum(dataset.gdp[c, year] for c in members)
-                         / math.fsum(dataset.gdp[c, year]
-                                     for c in dataset.countries))
+                gdp = [dataset.gdp.get((c, year)) for c in dataset.countries]
+                value = (math.fsum(g for c, g in zip(dataset.countries, gdp)
+                                   if g is not None and c in members)
+                         / math.fsum(g for g in gdp if g is not None))
             else:
                 value = math.fsum(values)
             values.append(value)
@@ -554,6 +556,27 @@ class TestTotalsTables:
         names = reports._TOTALS_TABLES[table_id][1]
         assert walks == [(kind, len(names)) for kind in ("CAB", "GGB")]
 
+    @pytest.mark.parametrize("table_id", (1, 2, 3, 4))
+    def test_every_printed_total_comes_from_total(self, dataset, regions,
+                                                  monkeypatch, table_id):
+        formed = {}
+        real = accounting._total
+
+        def spy(kind, subject, values):
+            formed[subject, kind] = got = real(kind, subject, values)
+            return got
+
+        monkeypatch.setattr(accounting, "_total", spy)
+        table = reports.build_table(dataset, regions, table_id)
+        # table 1 forms its totals by country code and prints them by name
+        names = {**reports.COUNTRY_NAMES, "all countries": "EU27"}
+        formed = {(names.get(s, s), k): v for (s, k), v in formed.items()}
+        assert len(formed) == 3 * len(table.rows)
+        for row in table.rows:
+            for kind in ("CAB", "GGB", "PSB"):
+                cell = row[table.header.index(f"{kind.lower()}_total")]
+                assert cell == sig6(formed[row[0], kind]), (row[0], kind)
+
     def test_germany_prints_one_psb_total(self, tmp_path, regions):
         data = _data_with(tmp_path, _WITHOUT_DE_1995_GGB)
         dataset = eb.load_files(*(data / name for name in INPUT_FILES))
@@ -595,10 +618,11 @@ class TestTotalsTables:
          {"ggb.csv": lambda lines: [line for line in lines
                                     if not line.startswith("LU,")]},
          "no GGB data for region 'EU10'"),
-        # a German current account of 1e308 in 1995 and again in 1996
+        # a German current account of 1e308 in 1995 and again in 1996:
+        # each year's sum fits a float, the total does not
         (None, {"gdp.csv": _german_1995_and_1996("1e308", "1e308"),
                 "cab_pct.csv": _german_1995_and_1996("1", "1")},
-         "cumulative CAB sum for region 'Eurozone' overflows in 1996"),
+         "CAB total for Eurozone overflows"),
         # a German CAB of 1e308 in 1995 and a GGB of -1e308 in 1996: both
         # totals fit a float, CAB less GGB does not
         (None, {"gdp.csv": _german_1995_and_1996("1e308", None),
