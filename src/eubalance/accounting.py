@@ -13,13 +13,14 @@ import json
 import math
 import os
 from collections.abc import Collection, Sequence
+from itertools import chain
 
 from .dataset import _DATA, BASE_YEAR, Dataset, _Frozen
 
 KINDS = ("CAB", "GGB", "PSB", "GDP")
 MODES = ("annual", "cumulative")
 
-_FIELD = {"CAB": "cab_eur", "GGB": "ggb_eur", "PSB": "psb_eur", "GDP": "gdp"}
+_FIELD = {"CAB": "cab_eur", "GGB": "ggb_eur", "GDP": "gdp"}
 
 
 class AccountingError(Exception):
@@ -57,7 +58,8 @@ def region_series(dataset: Dataset, region: RegionDefinition, kind: str,
     """(t, value) points of one balance kind summed over a region.
 
     A year appears in the series when at least one member reports; the sum
-    runs over reporting members only. Sums use compensated summation.
+    runs over reporting members only. Sums use compensated summation. A
+    year's PSB is the members' CAB sum less their GGB sum, rounded once.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -70,9 +72,11 @@ def region_series(dataset: Dataset, region: RegionDefinition, kind: str,
 def _values_by_year(dataset: Dataset, kind: str,
                     regions: Sequence[RegionDefinition]) -> list[dict]:
     """Per region, year -> its members' values of a kind in column order,
-    from one walk of the column."""
+    from one walk of the column (PSB: of CAB, then of GGB negated)."""
     out = [{year: [] for year in dataset.years} for _ in regions]
-    items = getattr(dataset, _FIELD[kind]).items()
+    items = (chain(dataset.cab_eur.items(),
+                   ((key, -value) for key, value in dataset.ggb_eur.items()))
+             if kind == "PSB" else getattr(dataset, _FIELD[kind]).items())
     if len(regions) == 1:  # a walk with no fan-out takes half the time
         members, (by_year,) = regions[0].members, out
         for (country, year), value in items:

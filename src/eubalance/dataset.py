@@ -6,8 +6,8 @@ read-only column of that shape per field, so a reader walks the one field
 it needs.
 
 Current-account values arrive as fractions of GDP and are converted to
-billion EUR on assembly; the private-sector balance is derived as the
-difference between the current-account and government balances.
+billion EUR on assembly; the private-sector balance (CAB less GGB) is
+never stored, but formed where it is summed (accounting.region_series).
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ import operator
 import os
 from collections.abc import Mapping
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from types import MappingProxyType
 
 BASE_YEAR = 1995
@@ -106,15 +106,15 @@ class Dataset:
     """Read-only columns keyed by (country, year).
 
     ``gdp``, ``cab_pct`` and ``ggb_eur`` hold the values as read and
-    ``cab_eur`` and ``psb_eur`` the derived ones, as views of the mappings
-    given (:func:`assemble` copies its inputs). A key absent from a column
-    has no value there; every key of a column is a key of ``gdp``.
+    ``cab_eur`` the derived one, as views of the mappings given
+    (:func:`assemble` copies its inputs). A key absent from a column has
+    no value there; every key of a column is a key of ``gdp``.
     """
 
     def __init__(self, gdp: _Column, cab_pct: _Column, ggb_eur: _Column,
-                 cab_eur: _Column, psb_eur: _Column) -> None:
-        self.gdp, self.cab_pct, self.ggb_eur, self.cab_eur, self.psb_eur = (
-            map(MappingProxyType, (gdp, cab_pct, ggb_eur, cab_eur, psb_eur)))
+                 cab_eur: _Column) -> None:
+        self.gdp, self.cab_pct, self.ggb_eur, self.cab_eur = (
+            map(MappingProxyType, (gdp, cab_pct, ggb_eur, cab_eur)))
         self._countries = tuple(sorted({c for c, _ in gdp}))
         self._years = tuple(sorted({y for _, y in gdp}))
         self._gdp_totals: dict[int, float] = {}  # for accounting.gdp_share
@@ -180,17 +180,14 @@ def _parse(raw_text: str) -> dict[tuple[str, int], float]:
 def assemble(gdp: _Column, cab_pct: _Column, ggb: _Column) -> Dataset:
     """Combine the three {(country, year): value} mappings into a Dataset.
 
-    cab_eur = cab_pct * gdp; psb_eur = cab_eur - ggb_eur where both exist.
-    Every (country, year) carrying a balance must also carry a positive
-    GDP, and the derived values must be finite. Each check names its
-    smallest bad key.
+    cab_eur = cab_pct * gdp. Every (country, year) carrying a balance must
+    also carry a positive GDP, and each cab_eur value must be finite. Each
+    check names its smallest bad key.
     """
     try:  # one lookup and one insert per row
         cab_eur = {key: p * gdp[key] for key, p in cab_pct.items()}
-        psb_eur = {key: cab - g for key, cab in cab_eur.items()
-                   if (g := ggb.get(key)) is not None}
-        if len(psb_eur) < len(ggb) and not ggb.keys() <= gdp.keys():
-            raise KeyError  # a ggb key outside cab_pct has no GDP
+        if not ggb.keys() <= gdp.keys():
+            raise KeyError  # a ggb key has no GDP
     except KeyError:
         missing = (cab_pct.keys() | ggb.keys()) - gdp.keys()
         raise MissingGdp(f"balance present without GDP for {min(missing)}") from None
@@ -198,15 +195,12 @@ def assemble(gdp: _Column, cab_pct: _Column, ggb: _Column) -> Dataset:
         bad = min(key for key, g in gdp.items() if not g > 0)
         raise ValueError(f"GDP for {bad[0]} {bad[1]} is not positive: "
                          f"{gdp[bad]!r}")
-    if not all(map(math.isfinite, chain(cab_eur.values(), psb_eur.values()))):
-        # at one key, cab_eur is named before psb_eur
-        (country, year), field, value = min(
-            (key, field, value)
-            for field, column in (("cab_eur", cab_eur), ("psb_eur", psb_eur))
-            for key, value in column.items() if not math.isfinite(value))
-        raise BadNumeric(f"{field} for {country} {year} "
-                         f"is not finite: {value!r}")
-    return Dataset(dict(gdp), dict(cab_pct), dict(ggb), cab_eur, psb_eur)
+    if not all(map(math.isfinite, cab_eur.values())):
+        country, year = min(key for key, value in cab_eur.items()
+                            if not math.isfinite(value))
+        raise BadNumeric(f"cab_eur for {country} {year} "
+                         f"is not finite: {cab_eur[country, year]!r}")
+    return Dataset(dict(gdp), dict(cab_pct), dict(ggb), cab_eur)
 
 
 def load_files(gdp_path, cab_pct_path, ggb_path) -> Dataset:

@@ -257,6 +257,10 @@ def _year_table(dataset: Dataset, regions: dict[str, RegionDefinition],
             raise accounting.EmptyIntersection(
                 f"no {kind} data for region {name!r} in {year}") from None
 
+    if not dataset.years:  # no row, so no cell: _series names the subject
+        _, measure, name = columns[0]
+        accounting._series({}, _region(regions, name),
+                           "CAB" if "CAB" in measure else "GDP")
     rows = []
     for year in dataset.years:
         values: list[float] = []

@@ -35,12 +35,16 @@ def _region(regions, name):
 def test_criterion_1_identity_and_sum_rule(dataset, regions):
     failures = []
 
-    # the private balance is the residual of the identity, so this
-    # direction of the equality is bitwise
-    complete = dataset.cab_eur
-    for (country, year), cab in complete.items():
-        if dataset.psb_eur.get((country, year)) != (
-                cab - dataset.ggb_eur[country, year]):
+    # a country's private balance is the residual of the identity,
+    # rounded once, so this direction of the equality is bitwise
+    psb = {code: dict(eb.region_series(dataset, _region(regions, name),
+                                       "PSB"))
+           for code, name in reports.COUNTRY_NAMES.items()}
+    complete = dataset.cab_eur.keys() & dataset.ggb_eur.keys()
+    for country, year in sorted(complete):
+        if psb[country].get(year - eb.BASE_YEAR) != (
+                dataset.cab_eur[country, year]
+                - dataset.ggb_eur[country, year]):
             failures.append(f"identity broken for {country} {year}")
 
     for parts, whole_name in _PARTITIONS:

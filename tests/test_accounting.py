@@ -26,13 +26,25 @@ def _ratio_series(dataset, region):
 
 class TestIdentity:
     def test_identity_holds_for_every_record(self, dataset):
-        # the private balance is residual, so the identity is exact in
-        # the computed direction
-        psb, cab, ggb = dataset.psb_eur, dataset.cab_eur, dataset.ggb_eur
-        assert psb.keys() == cab.keys() & ggb.keys()
-        for key, value in psb.items():
-            assert value == cab[key] - ggb[key]
-        assert len(psb) == 27 * 17 - 3 - 5  # BG from 1998, EL from 2000
+        # a country's private balance is the residual CAB - GGB, rounded
+        # once, so the identity is exact in the computed direction
+        cab, ggb = dataset.cab_eur, dataset.ggb_eur
+        both = cab.keys() & ggb.keys()
+        assert len(both) == 27 * 17 - 3 - 5  # BG from 1998, EL from 2000
+        psb = {code: dict(region_series(
+                   dataset, RegionDefinition(code, frozenset({code})), "PSB"))
+               for code in dataset.countries}
+        for country, year in both:
+            assert psb[country][year - eb.BASE_YEAR] == (
+                cab[country, year] - ggb[country, year])
+
+    def test_a_year_with_one_balance_gives_its_psb(self):
+        # 1995 has CAB and GGB, 1996 a CAB only, 1997 a GGB only
+        ds = eb.assemble({("DE", y): 100.0 for y in (1995, 1996, 1997)},
+                         {("DE", 1995): 0.03, ("DE", 1996): 0.05},
+                         {("DE", 1995): -2.0, ("DE", 1997): 1.5})
+        assert region_series(ds, _DE, "PSB") == (
+            (0, 100.0 * 0.03 + 2.0), (1, 100.0 * 0.05), (2, -1.5))
 
 
 class TestRegionSeries:
@@ -104,15 +116,19 @@ class TestRegionSeries:
             ggb = {key: rng.uniform(-9.0, 9.0)
                    for key in rng.sample(keys, len(keys) // 2)}
             ds = eb.assemble(gdp, pct, ggb)
-            column = getattr(ds, accounting._FIELD[kind])
+            # PSB: the members' CABs, then their GGBs negated
+            columns = {"CAB": ((ds.cab_eur, 1.0),),
+                       "GGB": ((ds.ggb_eur, 1.0),), "GDP": ((ds.gdp, 1.0),),
+                       "PSB": ((ds.cab_eur, 1.0), (ds.ggb_eur, -1.0))}[kind]
             regions = [RegionDefinition(str(i), m)
                        for i, m in enumerate(member_sets)]
             naive = []
             for region in regions:
                 by_year = {}
-                for (country, year), value in column.items():
-                    if country in region.members:
-                        by_year.setdefault(year, []).append(value)
+                for column, sign in columns:
+                    for (country, year), value in column.items():
+                        if country in region.members:
+                            by_year.setdefault(year, []).append(sign * value)
                 naive.append(by_year)
             walked = accounting._values_by_year(ds, kind, regions)
             # the same lists, each in column order, and the same years

@@ -50,6 +50,19 @@ def _huge_cab(codes, years, ggb=None):
     return edits
 
 
+def _edited_copy(tmp_path, edits):
+    """A copy of the bundled data with the {file name: {row prefix:
+    value}} edits of _huge_cab applied."""
+    data = tmp_path / "data"
+    shutil.copytree(BUNDLED_DATA, data)
+    for name, values in edits.items():
+        lines = (data / name).read_text().split("\n")
+        (data / name).write_text("\n".join(
+            line[:8] + values[line[:8]] if line[:8] in values else line
+            for line in lines))
+    return data
+
+
 # One fault of each entry of cli's exit-code table, with its code and its
 # stderr line.
 _FAULTS = (
@@ -436,21 +449,74 @@ class TestExitCodes:
         (_huge_cab(("DE",), range(1995, 2000)), "1",
          "CAB total for DE overflows"),
         (_huge_cab(("DE",), (1995,), ggb="-1.5e308"), "1",
-         "psb_eur for DE 1995 is not finite: inf"),
+         "PSB total for DE overflows"),
         (_huge_cab(("DE",), (1995,), ggb="-1.5e308"), "2",
-         "psb_eur for DE 1995 is not finite: inf"),
+         "PSB total for Eurozone overflows"),
     ), ids=("eu27-total", "country-total", "psb-table-1", "psb-table-2"))
     def test_total_overflow_is_named(self, tmp_path, capsys, edits, table,
                                      message):
-        data = tmp_path / "data"
-        shutil.copytree(BUNDLED_DATA, data)
-        for name, values in edits.items():
-            lines = (data / name).read_text().split("\n")
-            (data / name).write_text("\n".join(
-                line[:8] + values[line[:8]] if line[:8] in values else line
-                for line in lines))
+        data = _edited_copy(tmp_path, edits)
         rc = cli.main(["--data-dir", str(data), "--out", str(tmp_path),
                        "report", "--table", table])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_psb_overflow_fails_only_what_sums_it(self, tmp_path, capsys):
+        # Germany's 1995 CAB and GGB fit a float, CAB less GGB does not:
+        # the totals tables print a PSB, the year tables do not, and the
+        # EU9+ and Eurozone7+ fits overflow on Germany's CAB
+        data = _edited_copy(tmp_path,
+                            _huge_cab(("DE",), (1995,), ggb="-1.5e308"))
+        fit_overflow = "fit of series {} overflows the float range"
+        expected = {
+            ("report", "--table", "1"): "PSB total for DE overflows",
+            ("report", "--table", "2"): "PSB total for Eurozone overflows",
+            ("report", "--table", "3"): "PSB total for Eurozone7+ overflows",
+            ("report", "--table", "4"): "PSB total for Germany overflows",
+            **{("report", "--table", str(n)): None for n in range(5, 13)},
+            ("fit", "--series", "eu9plus"): fit_overflow.format("eu9plus"),
+            ("fit", "--series", "eu18minus"): None,
+            ("fit", "--series", "euro7plus"): fit_overflow.format("euro7plus"),
+            ("fit", "--series", "euro10minus"): None,
+            ("stability", "--scope", "eu"): fit_overflow.format("eu9plus"),
+            ("stability", "--scope", "eurozone"):
+                fit_overflow.format("euro7plus"),
+        }
+        for argv, message in expected.items():
+            rc = cli.main(["--data-dir", str(data), "--out",
+                           str(tmp_path / "out"), *argv])
+            err = capsys.readouterr().err
+            assert (rc, err) == ((3, f"error: {message}\n") if message
+                                 else (0, "")), argv
+
+    @pytest.mark.parametrize("table, regions, message", (
+        ("2", None, "no CAB data for region 'Eurozone'"),
+        ("3", None, "no CAB data for region 'Eurozone7+'"),
+        ("4", None, "no CAB data for region 'Germany'"),
+        ("5", None, "no GDP data for region 'Germany'"),
+        ("6", None, "no GDP data for region 'EU9+'"),
+        ("7", None, "no GDP data for region 'EU9+'"),
+        ("8", None, "no CAB data for region 'Germany'"),
+        ("9", None, "no CAB data for region 'Germany'"),
+        ("10", None, "no CAB data for region 'EU9+'"),
+        ("11", None, "no CAB data for region 'Germany'"),
+        ("12", None, "no CAB data for region 'Eurozone7+'"),
+        ("6", {"EU18-": ["DE"]}, "region 'EU9+' is not defined"),
+    ), ids=[*map(str, range(2, 13)), "6-undefined"])
+    def test_header_only_files_name_the_first_subject(self, tmp_path,
+                                                      capsys, table,
+                                                      regions, message):
+        # three header-only files: no year, so no cell, in any table
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("gdp.csv", "cab_pct.csv", "ggb.csv"):
+            (data / name).write_text("country,year,value\n")
+        argv = ["--data-dir", str(data), "--out", str(tmp_path)]
+        if regions is not None:
+            path = tmp_path / "regions.json"
+            path.write_text(json.dumps(regions), encoding="utf-8")
+            argv += ["--regions", str(path)]
+        rc = cli.main([*argv, "report", "--table", table])
         assert rc == 3
         assert capsys.readouterr().err == f"error: {message}\n"
 

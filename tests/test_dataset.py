@@ -13,6 +13,8 @@ from eubalance import dataset as dataset_mod
 from eubalance.dataset import INPUT_FILES, parse_table
 
 BUNDLED_DATA = Path(eb.__file__).parent / "data"
+_DE = eb.RegionDefinition("Germany", frozenset({"DE"}))
+_FR = eb.RegionDefinition("France", frozenset({"FR"}))
 
 
 def _reference_parse_table(raw_text):
@@ -50,7 +52,7 @@ def _reference_parse_table(raw_text):
     return table
 
 
-COLUMNS = ("gdp", "cab_pct", "ggb_eur", "cab_eur", "psb_eur")
+COLUMNS = ("gdp", "cab_pct", "ggb_eur", "cab_eur")
 
 
 def _plain_csv(column):
@@ -209,7 +211,8 @@ class TestAssemble:
                          {("DE", 2011): -20.0})
         cab = ds.cab_eur["DE", 2011]
         assert cab == pytest.approx(147.7782, rel=1e-9)
-        assert ds.psb_eur["DE", 2011] == cab - ds.ggb_eur["DE", 2011]
+        assert eb.region_series(ds, _DE, "PSB") == (
+            (2011 - eb.BASE_YEAR, cab - ds.ggb_eur["DE", 2011]),)
 
     def test_zero_pct_gives_zero_eur(self):
         ds = eb.assemble({("DE", 2001): 2113.16}, {("DE", 2001): 0.0}, {})
@@ -218,7 +221,7 @@ class TestAssemble:
     def test_absent_fields_are_none(self):
         ds = eb.assemble({("BG", 1995): 10.0}, {}, {})
         assert ds.gdp == {("BG", 1995): 10.0}
-        assert ds.cab_pct == ds.cab_eur == ds.ggb_eur == ds.psb_eur == {}
+        assert ds.cab_pct == ds.cab_eur == ds.ggb_eur == {}
 
     def test_missing_gdp(self):
         with pytest.raises(eb.MissingGdp):
@@ -231,8 +234,7 @@ class TestAssemble:
 
     @pytest.mark.parametrize("pct, ggb, field", (
         (2.0, {}, "cab_eur"),
-        (0.9, {("DE", 1995): -1.5e308}, "psb_eur"),
-    ), ids=("cab_eur", "psb_eur"))
+    ), ids=("cab_eur",))
     def test_non_finite_derived_value_is_named(self, pct, ggb, field):
         gdp = {("DE", 1995): 1.5e308, ("FR", 1995): 1500.0}
         cab_pct = {("DE", 1995): pct, ("FR", 1995): 0.01}
@@ -242,11 +244,11 @@ class TestAssemble:
 
     def test_large_finite_derived_values_load(self):
         # the largest magnitudes would overflow if summed, yet every
-        # derived value is finite
+        # derived value and Germany's PSB, CAB less GGB, is finite
         ds = eb.assemble({("DE", 1995): 1.5e308, ("FR", 1995): 1500.0},
                          {("DE", 1995): 1e-3, ("FR", 1995): 0.9},
                          {("DE", 1995): -1.5e308})
-        assert ds.psb_eur["DE", 1995] == 1.5e308 + 1.5e305
+        assert eb.region_series(ds, _DE, "PSB") == ((0, 1.5e308 + 1.5e305),)
 
     def test_inputs_are_copied(self):
         inputs = ({("DE", 2000): 1.0}, {("DE", 2000): 0.5},
@@ -260,10 +262,7 @@ class TestAssemble:
     def test_smallest_key_is_named_cab_eur_first(self):
         gdp = {("DE", 1995): 1.5e308, ("DE", 1996): 1.5e308}
         ggb = {("DE", 1995): -1.5e308, ("DE", 1996): 1.0}
-        # psb_eur is infinite at DE 1995, cab_eur and psb_eur at DE 1996
-        with pytest.raises(eb.BadNumeric,
-                           match=r"^psb_eur for DE 1995 is not finite: inf$"):
-            eb.assemble(gdp, {("DE", 1995): 0.9, ("DE", 1996): 2.0}, ggb)
+        # cab_eur is infinite at DE 1996 only
         with pytest.raises(eb.BadNumeric,
                            match=r"^cab_eur for DE 1996 is not finite: inf$"):
             eb.assemble(gdp, {("DE", 1995): 0.1, ("DE", 1996): 2.0}, ggb)
@@ -282,7 +281,7 @@ class TestAssemble:
                            match=r"^GDP for FR 1995 is not positive: -1\.0$"):
             eb.assemble(gdp, cab_pct, ggb)
         gdp["FR", 1995] = 1.0
-        # cab_eur and psb_eur are both infinite at DE 1995
+        # cab_eur is infinite at DE 1995
         with pytest.raises(eb.BadNumeric,
                            match=r"^cab_eur for DE 1995 is not finite: inf$"):
             eb.assemble(gdp, cab_pct, ggb)
@@ -308,7 +307,8 @@ class TestAssemble:
                          {("DE", 2011): 0.05},
                          {("DE", 2011): -20.0, ("FR", 2011): -100.0})
         assert ds.ggb_eur["FR", 2011] == -100.0
-        assert list(ds.psb_eur) == [("DE", 2011)]
+        # France's PSB is its GGB negated: it reports no CAB
+        assert eb.region_series(ds, _FR, "PSB") == ((16, 100.0),)
 
     def test_nan_gdp_is_not_positive(self):
         with pytest.raises(ValueError,
@@ -328,7 +328,6 @@ class TestAssemble:
         assert list(ds.gdp) == list(gdp)
         assert list(ds.cab_pct) == list(ds.cab_eur) == list(cab_pct)
         assert list(ds.ggb_eur) == list(ggb)
-        assert list(ds.psb_eur) == [key for key in cab_pct if key in ggb]
 
 
 class TestRecordInvariants:
@@ -367,8 +366,6 @@ class TestBundled:
         for key, pct in dataset.cab_pct.items():
             assert dataset.cab_eur[key] == pytest.approx(
                 pct * dataset.gdp[key], rel=1e-9)
-        for key, psb in dataset.psb_eur.items():
-            assert psb == dataset.cab_eur[key] - dataset.ggb_eur[key]
 
     def test_round_trip_bit_exact(self, dataset):
         # repr is the shortest round-trip form, so parsing it gives back
@@ -437,7 +434,7 @@ class TestLoadPath:
         direct = eb.assemble(*(parse_table(text) for text in texts))
         assert len(loaded) == 3 * 459
         assert _columns(loaded) == _columns(direct)
-        assert len(loaded.psb_eur) < len(loaded)
+        assert len(loaded.cab_eur) < len(loaded)
         again = tmp_path / "again"
         again.mkdir()
         for name, field in zip(INPUT_FILES, ("gdp", "cab_pct", "ggb_eur")):

@@ -607,6 +607,23 @@ class TestTotalsTables:
                                 for k in ("CAB", "GGB"))
                 assert row[psb] == sig6(cab - ggb), (table_id, row[0])
 
+    def test_region_total_psb_is_the_printed_total(self, tmp_path,
+                                                   regions):
+        # Germany's 1995 CAB has no GGB beside it: the library and the
+        # tables take the same CAB less GGB over the members that report
+        data = _data_with(tmp_path, _WITHOUT_DE_1995_GGB)
+        dataset = eb.load_files(*(data / name for name in INPUT_FILES))
+        cells = 0
+        for table_id in (2, 3, 4):
+            table = reports.build_table(dataset, regions, table_id)
+            psb = table.header.index("psb_total")
+            for row in table.rows:
+                region = reports._region(regions, row[0])
+                cells += 1
+                assert sig6(accounting.region_total(dataset, region, "PSB")
+                            ) == row[psb], (table_id, row[0])
+        assert cells == 17
+
     # Table 2's rows are Eurozone, EU10, EU9+, EU18-, Germany, EU26, EU27;
     # within a row CAB is summed before GGB, and both before PSB.
     @pytest.mark.parametrize("regions, edits, message", (
